@@ -3,7 +3,6 @@
 // and the envelope of the committed BENCH_*.json reports.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -66,14 +65,6 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-// Nearest-rank percentile of unsorted samples, q in [0, 1].
-inline double percentile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(q * static_cast<double>(v.size()));
-  return v[std::min(idx, v.size() - 1)];
 }
 
 // One closed-loop sweep: `steps` invocations of `fn` timed individually (for

@@ -20,11 +20,13 @@
 // regressions).
 //
 //   ./build/bench/extension_serving [out.json]
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "obs/percentile.h"
 #include "runtime/distributed_decoder.h"
 #include "tensor/ops.h"
 #include "transformer/tokenizer.h"
@@ -92,8 +94,10 @@ Sample run_sweep(const TransformerModel& model, Precision precision,
       timing.total_s > 0.0
           ? static_cast<double>(batch * kSteps) / timing.total_s
           : 0.0;
-  s.p50_step_us = voltage::bench::percentile(timing.step_us, 0.50);
-  s.p99_step_us = voltage::bench::percentile(timing.step_us, 0.99);
+  std::vector<double> step_us = timing.step_us;
+  std::sort(step_us.begin(), step_us.end());
+  s.p50_step_us = voltage::obs::nearest_rank(step_us, 0.50);
+  s.p99_step_us = voltage::obs::nearest_rank(step_us, 0.99);
   s.messages_per_step =
       static_cast<double>(after.messages_sent - before.messages_sent) /
       static_cast<double>(kSteps);

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
 
   // Interleaved A/B rounds (detached, attached, detached, ...) with best-of
   // per config, so drift hits both configs symmetrically. The tracer is
-  // declared before the decoders: it must outlive them, since even the
-  // shutdown handshake lands on the trace.
+  // declared before the decoders: it must outlive them, since their device
+  // jobs may still be writing spans when a step returns.
   obs::Tracer tracer;
   DistributedDecoder off(model, PartitionScheme::even(kDevices));
   DistributedDecoder on(model, PartitionScheme::even(kDevices));

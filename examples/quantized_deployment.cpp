@@ -1,7 +1,7 @@
 // INT8 + Voltage composition (§VII-A: compression and distribution are
 // orthogonal): quantize a BERT-style model to int8, then distribute the
 // quantized inference across devices with the stock Algorithm 2 protocol —
-// only the per-layer kernel changes.
+// only the per-layer kernel and the gather encoding change.
 //
 //   ./build/examples/quantized_deployment
 #include <cstdio>
@@ -29,13 +29,10 @@ int main() {
   const Tensor float_logits = model.infer(tokens);
 
   // Distributed INT8: the runtime keeps Algorithm 2 (broadcast, partition,
-  // all-gather, collect); the executor swaps in the quantized kernels.
+  // all-gather, collect); the int8 plane swaps in the quantized kernels and
+  // ships the per-layer gathers as int8 rows with per-row scales.
   VoltageRuntime runtime(model, PartitionScheme::even(3));
-  runtime.set_partition_executor(
-      [&quantized](std::size_t layer, const Tensor& x, Range p,
-                   OrderPolicy policy) {
-        return quantized.partition_forward(layer, x, p, policy);
-      });
+  runtime.set_precision(Precision::kInt8);
   const Tensor int8_logits = runtime.infer(tokens);
 
   // Quantized single-device reference (same kernels, no distribution).

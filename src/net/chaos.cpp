@@ -41,10 +41,10 @@ void ChaosTransport::send(Message message) {
         message.source == options_.crash->device) {
       if (crash_device_sends_ >= options_.crash->after_sends) {
         stats_.crashed_sends += 1;
-        throw TransportClosedError(
+        throw TransportClosedError(seeded(
             "ChaosTransport: device " + std::to_string(message.source) +
             " crashed after " + std::to_string(crash_device_sends_) +
-            " sends");
+            " sends"));
       }
       crash_device_sends_ += 1;
     }
@@ -70,6 +70,35 @@ void ChaosTransport::send(Message message) {
   pending_cv_.notify_one();
 }
 
+std::string ChaosTransport::seeded(std::string text) const {
+  const std::string tag =
+      " (chaos seed=" + std::to_string(options_.seed) + ")";
+  if (!text.ends_with(tag)) text += tag;
+  return text;
+}
+
+Message ChaosTransport::recv(DeviceId receiver, DeviceId source,
+                             MessageTag tag, const RecvOptions& options) {
+  try {
+    return inner_->recv(receiver, source, tag, options);
+  } catch (const RecvTimeoutError& e) {
+    throw RecvTimeoutError(seeded(e.what()));
+  }
+}
+
+Message ChaosTransport::recv_any(DeviceId receiver, MessageTag tag,
+                                 const RecvOptions& options) {
+  try {
+    return inner_->recv_any(receiver, tag, options);
+  } catch (const RecvTimeoutError& e) {
+    throw RecvTimeoutError(seeded(e.what()));
+  }
+}
+
+void ChaosTransport::close(std::string reason) {
+  inner_->close(seeded(std::move(reason)));
+}
+
 void ChaosTransport::courier_loop() {
   std::unique_lock lock(mutex_);
   for (;;) {
@@ -81,7 +110,10 @@ void ChaosTransport::courier_loop() {
     // Once the transport is stopping, residual delays are meaningless —
     // drain everything immediately so teardown stays prompt.
     if (!stopping_ && pending_.top().due > std::chrono::steady_clock::now()) {
-      pending_cv_.wait_until(lock, pending_.top().due);
+      // By value: wait_until reads the deadline again after relocking, when
+      // a concurrent send may have reallocated the queue under top().
+      const auto due = pending_.top().due;
+      pending_cv_.wait_until(lock, due);
       continue;
     }
     Message message = std::move(const_cast<Pending&>(pending_.top()).message);

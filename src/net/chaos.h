@@ -74,16 +74,14 @@ class ChaosTransport final : public Transport {
     return inner_->devices();
   }
   void send(Message message) override;
+  // Receives, close reasons and crash errors name the seed (" (chaos
+  // seed=N)"), so a failure seen in a log replays from it.
   [[nodiscard]] Message recv(DeviceId receiver, DeviceId source,
                              MessageTag tag,
-                             const RecvOptions& options = {}) override {
-    return inner_->recv(receiver, source, tag, options);
-  }
+                             const RecvOptions& options = {}) override;
   [[nodiscard]] Message recv_any(DeviceId receiver, MessageTag tag,
-                                 const RecvOptions& options = {}) override {
-    return inner_->recv_any(receiver, tag, options);
-  }
-  void close(std::string reason) override { inner_->close(std::move(reason)); }
+                                 const RecvOptions& options = {}) override;
+  void close(std::string reason) override;
   [[nodiscard]] bool closed() const noexcept override {
     return inner_->closed();
   }
@@ -118,6 +116,8 @@ class ChaosTransport final : public Transport {
   };
 
   void courier_loop();
+  // `text` ending in this transport's seed tag.
+  [[nodiscard]] std::string seeded(std::string text) const;
 
   std::unique_ptr<Transport> inner_;
   ChaosOptions options_;

@@ -246,6 +246,30 @@ TraceReport build_report(const LoadedTrace& trace) {
   Micros first = std::numeric_limits<Micros>::max();
   Micros last = std::numeric_limits<Micros>::min();
 
+  // Per track, the "layer" spans in start order. A gemm span counts toward
+  // a (layer, device) row only inside that row's layer span on its own
+  // track: a decode step's GEMMs carry a layer too, but no layer span.
+  std::map<TrackId, std::vector<const TraceEvent*>> layer_spans;
+  for (const TraceEvent& e : trace.events) {
+    if (e.phase == EventPhase::kComplete && e.layer >= 0 &&
+        std::string_view(e.name) == "layer") {
+      layer_spans[e.track].push_back(&e);
+    }
+  }
+  const auto inside_layer_span = [&](const TraceEvent& e) {
+    const auto it = layer_spans.find(e.track);
+    if (it == layer_spans.end()) return false;
+    // Layer spans on one track never overlap: the candidate is the last
+    // one starting at or before `e`.
+    const auto next = std::upper_bound(
+        it->second.begin(), it->second.end(), e.start_us,
+        [](Micros t, const TraceEvent* span) { return t < span->start_us; });
+    if (next == it->second.begin()) return false;
+    const TraceEvent& span = **std::prev(next);
+    return span.layer == e.layer &&
+           e.start_us + e.duration_us <= span.start_us + span.duration_us;
+  };
+
   for (const TraceEvent& e : trace.events) {
     first = std::min(first, e.start_us);
     last = std::max(last, e.start_us + e.duration_us);
@@ -307,7 +331,7 @@ TraceReport build_report(const LoadedTrace& trace) {
       row.compute_us += e.duration_us;
       if (!e.tag.empty()) row.order = e.tag;
     } else if (name == "gemm") {
-      row.gemm_us += e.duration_us;
+      if (inside_layer_span(e)) row.gemm_us += e.duration_us;
     } else if (name == "all_gather") {
       row.all_gather_us += e.duration_us;
       if (e.bytes > 0) {

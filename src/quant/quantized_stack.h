@@ -1,7 +1,7 @@
 // Whole-model INT8 quantization: every transformer layer of a float model
 // quantized once, plus the forward paths needed to deploy it — full
 // single-device and position-partitioned (for Voltage distribution via
-// VoltageRuntime::set_partition_executor).
+// VoltageRuntime::set_precision(Precision::kInt8)).
 #pragma once
 
 #include <vector>

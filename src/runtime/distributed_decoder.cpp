@@ -1,17 +1,13 @@
 #include "runtime/distributed_decoder.h"
 
 #include <algorithm>
-#include <array>
-#include <exception>
-#include <numeric>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
 #include "collective/collectives.h"
 #include "collective/softmax_merge.h"
-#include "core/thread_pool.h"
-#include "partition/partitioned_layer.h"
-#include "runtime/failure.h"
+#include "runtime/voltage_runtime.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "transformer/ffn.h"
@@ -33,26 +29,116 @@ namespace {
 // broadcast on kTagToken (per-row scales don't mix with opcodes).
 constexpr std::size_t kCmdCols = 7;  // {opcode, arg, int8_flag, timeout_s,
                                      //  slot, token, committed}
-constexpr float kOpPrime = 1.0F;     // arg = prompt length; col 4 = slot
-constexpr float kOpStep = 2.0F;      // per row: arg = position, col 4 = slot,
-                                     // col 5 = token id, col 6 = 1 if the
-                                     // row is pre-committed (0 = draft)
-constexpr float kOpShutdown = 3.0F;
-constexpr float kOpRefresh = 4.0F;  // re-read tracer_; no other effect
-constexpr float kOpRelease = 5.0F;  // col 4 = slot: free its KV blocks
+// Opcodes: prime (arg = prompt length; col 4 = slot), step (per row: arg =
+// position, col 4 = slot, col 5 = token id, col 6 = 1 if the row is
+// pre-committed, 0 for a draft) and release (col 4 = slot: free its KV
+// blocks).
+constexpr auto kOpPrime = static_cast<float>(DecodeCommand::Op::kPrime);
+constexpr auto kOpStep = static_cast<float>(DecodeCommand::Op::kStep);
+constexpr auto kOpRelease = static_cast<float>(DecodeCommand::Op::kRelease);
 
-// Tag layout. Commands, prefill features, the final row and the int8 step
-// token rows live on fixed tags; each layer gets one prefill-gather tag and a
-// pair of merge tags (softmax_merge uses tag and tag+1). Reusing tags across
-// steps is safe: transport matching is FIFO per (source, tag).
+// Tag layout. Commands and the int8 step token rows live on fixed tags; a
+// prime runs the Algorithm-2 prefill on its tags (voltage_runtime.h) and a
+// step's final rows reuse its final tag; each layer gets a pair of merge
+// tags (softmax_merge uses tag and tag+1). Reusing tags across steps is
+// safe: transport matching is FIFO per (source, tag).
 constexpr MessageTag kTagCmd = 1;
-constexpr MessageTag kTagFeatures = 2;
-constexpr MessageTag kTagFinal = 4;
 constexpr MessageTag kTagToken = 5;
-constexpr MessageTag kTagPrefillGatherBase = 64;
 constexpr MessageTag kTagMergeBase = 4096;
 
+// Deadline column, in seconds (0 = none): capped well below where a
+// steady_clock deadline would overflow.
+constexpr double kMaxDeadlineSeconds = 1e9;
+float deadline_column(double seconds) {
+  return static_cast<float>(std::clamp(seconds, 0.0, kMaxDeadlineSeconds));
+}
+
+// Greedy longest-prefix acceptance: the number of leading drafts j (of
+// `drafts`) whose token draft(j) is the argmax of logits row first + j.
+template <typename Draft>
+std::size_t accept_drafts(const Tensor& logits, std::size_t first,
+                          std::size_t drafts, Draft draft) {
+  std::size_t accepted = 0;
+  while (accepted < drafts &&
+         static_cast<TokenId>(argmax_row(logits, first + accepted)) ==
+             draft(accepted)) {
+    ++accepted;
+  }
+  return accepted;
+}
+
+// Control-column reader: the column must hold a finite integer in
+// [0, limit], else the command is malformed.
+std::size_t integral(const Tensor& cmd, std::size_t row, std::size_t col,
+                     double limit) {
+  const double v = cmd(row, col);
+  if (!std::isfinite(v) || v != std::floor(v) || v < 0.0 || v > limit) {
+    throw std::runtime_error("DistributedDecoder: malformed command column " +
+                             std::to_string(col));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 }  // namespace
+
+DecodeCommand parse_decode_command(const Tensor& cmd,
+                                   std::span<const std::size_t> prompt_lens,
+                                   std::size_t max_positions) {
+  if (cmd.rows() < 1 || cmd.cols() < kCmdCols) {
+    throw std::runtime_error("DistributedDecoder: malformed command");
+  }
+  const double timeout = cmd(0, 3);
+  if (!(timeout >= 0.0 && timeout <= kMaxDeadlineSeconds)) {
+    throw std::runtime_error("DistributedDecoder: malformed command deadline");
+  }
+  const std::size_t op = integral(cmd, 0, 0, 255);
+  DecodeCommand out{.op = static_cast<DecodeCommand::Op>(op),
+                    .int8 = integral(cmd, 0, 2, 1) != 0,
+                    .timeout_seconds = timeout,
+                    .prompt_len = 0,
+                    .rows = std::vector<DecodeCommand::Row>(cmd.rows())};
+  const auto slots = static_cast<double>(prompt_lens.size());
+  for (std::size_t r = 0; r < cmd.rows(); ++r) {
+    if (integral(cmd, r, 0, 255) != op ||
+        integral(cmd, r, 2, 1) != (out.int8 ? 1U : 0U) ||
+        cmd(r, 3) != timeout) {
+      throw std::runtime_error("DistributedDecoder: mixed command rows");
+    }
+    // A prime may open one slot past the worker's last.
+    out.rows[r] = DecodeCommand::Row{
+        .slot = integral(cmd, r, 4, slots),
+        .position = integral(cmd, r, 1, static_cast<double>(max_positions)),
+        .token = static_cast<TokenId>(integral(cmd, r, 5, 1 << 24)),
+        .committed = integral(cmd, r, 6, 1) != 0};
+  }
+  const DecodeCommand::Row& first = out.rows.front();
+  switch (out.op) {
+    case DecodeCommand::Op::kPrime:
+      out.prompt_len = first.position;
+      if (cmd.rows() != 1 || out.prompt_len == 0) {
+        throw std::runtime_error("DistributedDecoder: malformed prime");
+      }
+      return out;
+    case DecodeCommand::Op::kRelease:
+      if (cmd.rows() != 1 || first.slot == prompt_lens.size()) {
+        throw std::runtime_error("DistributedDecoder: malformed release");
+      }
+      return out;
+    case DecodeCommand::Op::kStep:
+      for (const DecodeCommand::Row& row : out.rows) {
+        if (row.slot == prompt_lens.size() || prompt_lens[row.slot] == 0) {
+          throw std::runtime_error("DistributedDecoder: step before prime");
+        }
+        if (row.position < prompt_lens[row.slot] ||
+            row.position >= max_positions) {
+          throw std::runtime_error(
+              "DistributedDecoder: step position outside the window");
+        }
+      }
+      return out;
+  }
+  throw std::runtime_error("DistributedDecoder: unknown opcode");
+}
 
 DistributedDecoder::DistributedDecoder(const TransformerModel& model,
                                        PartitionScheme scheme,
@@ -68,108 +154,32 @@ DistributedDecoder::DistributedDecoder(const TransformerModel& model,
     : model_(model),
       scheme_(std::move(scheme)),
       policy_(policy),
-      transport_(std::move(transport)) {
+      transport_(std::move(transport)),
+      devices_(scheme_.devices()),
+      mesh_(*transport_, scheme_.devices()) {
   if (model_.spec().kind != ModelKind::kCausalLm) {
     throw std::invalid_argument("DistributedDecoder: needs a causal LM");
   }
-  const std::size_t k = scheme_.devices();
-  if (transport_->devices() != k + 1) {
+  if (transport_->devices() != scheme_.devices() + 1) {
     throw std::invalid_argument(
         "DistributedDecoder: transport must have one endpoint per worker "
         "plus the terminal");
   }
-  everyone_.resize(k + 1);
-  std::iota(everyone_.begin(), everyone_.end(), DeviceId{0});
-  workers_.resize(k);
-  std::iota(workers_.begin(), workers_.end(), DeviceId{0});
-  errors_.resize(k);
-  threads_.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    threads_.emplace_back([this, i] { worker_main(i); });
-  }
-}
-
-DistributedDecoder::~DistributedDecoder() {
-  if (!dead_) {
-    try {
-      // Flow-free but byte-accounted, like the set_tracer handshake: the
-      // shutdown broadcast's comm span keeps Σ comm-span bytes equal to
-      // the transport's bytes_sent through teardown.
-      const obs::ThreadTracerScope scope(
-          tracer_.load(std::memory_order_acquire));
-      const obs::ThreadTrackScope track(
-          static_cast<obs::TrackId>(terminal_id()));
-      const obs::TraceIdScope untraced(0);
-      Tensor cmd(1, kCmdCols);
-      cmd(0, 0) = kOpShutdown;
-      const std::size_t k = scheme_.devices();
-      broadcast(*transport_, everyone_, k, k, cmd, kTagCmd);
-    } catch (...) {
-      // Mesh already poisoned (a worker died and no call noticed): the
-      // workers are unwinding on their own; just make sure of it.
-      detail::poison(*transport_, "terminal", std::current_exception());
-    }
-  }
-  join_workers();
-}
-
-void DistributedDecoder::join_workers() noexcept {
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
 }
 
 void DistributedDecoder::ensure_alive() const {
-  if (dead_) {
+  if (mesh_.failed()) {
     throw std::logic_error(
         "DistributedDecoder: mesh failed; build a new decoder");
   }
 }
 
-void DistributedDecoder::fail_request() {
-  std::exception_ptr terminal_error = std::current_exception();
-  detail::poison(*transport_, "terminal", terminal_error);
-  join_workers();
-  dead_ = true;
-  detail::rethrow_failure(errors_, terminal_error);
-  std::rethrow_exception(terminal_error);  // unreachable: error is non-null
-}
-
 void DistributedDecoder::set_tracer(obs::Tracer* tracer) {
-  obs::Tracer* const previous = tracer_.load(std::memory_order_relaxed);
-  tracer_.store(tracer, std::memory_order_release);
-  if (tracer != nullptr) {
-    for (std::size_t i = 0; i < scheme_.devices(); ++i) {
-      tracer->set_track_name(static_cast<obs::TrackId>(i),
-                             "device " + std::to_string(i));
-    }
-    tracer->set_track_name(static_cast<obs::TrackId>(terminal_id()),
-                           "terminal");
-  }
-  // Workers read tracer_ at the top of their command loop, so a worker that
-  // started idling before this store would serve the next command with the
-  // stale tracer — its sends would open no flow arrows and its receives
-  // would close none. A no-op refresh command forces every idle worker
-  // through the loop top; receiving it happens-after this store, so the
-  // reload is guaranteed to see the new tracer. Trace id 0 keeps the
-  // handshake flow-free, but its comm span is still emitted — into the new
-  // tracer on attach, the outgoing one on detach (alive: it must outlive
-  // the decoder) — so Σ comm-span bytes stays equal to
-  // Transport::total_stats().bytes_sent.
-  if (dead_) return;
-  try {
-    const obs::ThreadTracerScope scope(tracer != nullptr ? tracer : previous);
-    const obs::ThreadTrackScope track(
-        static_cast<obs::TrackId>(terminal_id()));
-    const obs::TraceIdScope untraced(0);
-    Tensor cmd(1, kCmdCols);
-    cmd(0, 0) = kOpRefresh;
-    const std::size_t k = scheme_.devices();
-    broadcast(*transport_, everyone_, k, k, cmd, kTagCmd);
-  } catch (...) {
-    // Mesh already poisoned: the workers are unwinding and will never read
-    // tracer_ again, so there is nobody left to refresh.
-  }
+  // Jobs still finishing an earlier call write to the tracer they were
+  // posted with; let them finish before it can be destroyed.
+  mesh_.drain();
+  tracer_ = tracer;
+  mesh_.name_tracks(tracer, "device");
 }
 
 void DistributedDecoder::set_precision(Precision precision) {
@@ -195,228 +205,115 @@ std::size_t DistributedDecoder::slot_position(SlotId slot) const {
 // ---------------------------------------------------------------------------
 // Worker side
 
-void DistributedDecoder::worker_main(std::size_t i) {
-  const std::size_t k = scheme_.devices();
-  // One KV arena per device, shared by every (slot, layer) cache: a
-  // released sequence's blocks are immediately reusable by the next one.
-  // Created lazily at the first prefill so set_kv_block_limit can run after
-  // construction.
-  std::unique_ptr<KvBlockPool> pool;
-  std::vector<WorkerSlot> slots;
-  try {
-    for (;;) {
-      // Publish the tracer and track *before* blocking for the command, so
-      // the wait itself is a span on this device's timeline and the command
-      // broadcast's flow arrow has a track to land on. Receiving the
-      // command adopts its trace id (net/fabric.cpp), so everything this
-      // worker emits while serving it shares the request's causal id.
-      const obs::ThreadTracerScope tracer_scope(
-          tracer_.load(std::memory_order_acquire));
-      const obs::ThreadTrackScope track_scope(static_cast<obs::TrackId>(i));
-      const obs::ThreadLayerScope layer_reset(-1);
-      Tensor cmd(0, 0);
-      {
-        // Idle wait: no deadline — the decoder may sit unused between
-        // calls. Poisoning wakes us (TransportClosedError) if the mesh
-        // dies.
-        obs::TraceSpan span(obs::thread_tracer(), "wait_command", "wait",
-                            static_cast<obs::TrackId>(i));
-        span.device(static_cast<std::int64_t>(i));
-        broadcast(*transport_, everyone_, i, k, cmd, kTagCmd);
-      }
-      if (cmd.rows() < 1 || cmd.cols() < kCmdCols) {
-        throw std::runtime_error("DistributedDecoder: malformed command");
-      }
-      const float op = cmd(0, 0);
-      if (op == kOpShutdown) return;
-      if (op == kOpRefresh) continue;  // loop top re-reads tracer_
-      const IntraOpScope intra_scope(
-          intra_op_threads_.load(std::memory_order_relaxed));
-      obs::TelemetryHub* const hub =
-          telemetry_.load(std::memory_order_acquire);
-      const obs::Micros busy_start = hub != nullptr ? obs::now_us() : 0;
-      // Per-request deadline, fixed by the terminal at call entry and shared
-      // by every blocking receive this command triggers.
-      const RecvOptions options =
-          RecvOptions::within(static_cast<double>(cmd(0, 3)));
-      const Precision wire =
-          cmd(0, 2) != 0.0F ? Precision::kInt8 : Precision::kFp32;
-      if (wire == Precision::kInt8 && qstack_ == nullptr) {
-        throw std::logic_error(
-            "DistributedDecoder: int8 command without a quantized stack");
-      }
-      if (op == kOpPrime) {
-        const auto slot = static_cast<std::size_t>(cmd(0, 4));
-        const auto n = static_cast<std::size_t>(cmd(0, 1));
-        if (pool == nullptr) {
-          pool = std::make_unique<KvBlockPool>(
-              kv_block_floats(model_.spec().layer),
-              kv_block_limit_.load(std::memory_order_relaxed));
-        }
-        if (slot >= slots.size()) slots.resize(slot + 1);
-        WorkerSlot& s = slots[slot];
-        s.caches.resize(model_.spec().num_layers);
-        s.prompt_len = n;
-        s.active = true;
-        worker_prefill(i, n, s.caches, pool.get(), options,
-                       obs::thread_tracer(), wire);
-      } else if (op == kOpStep) {
-        worker_step_windows(i, slots, cmd, options, obs::thread_tracer(),
-                            wire);
-      } else if (op == kOpRelease) {
-        const auto slot = static_cast<std::size_t>(cmd(0, 4));
-        if (slot < slots.size()) {
-          for (DecodeLayerCache& cache : slots[slot].caches) cache.release();
-          slots[slot].active = false;
-          slots[slot].prompt_len = 0;
-        }
-      } else {
-        throw std::runtime_error("DistributedDecoder: unknown opcode");
-      }
-      if (hub != nullptr) {
-        hub->add_device_busy(i, obs::now_us() - busy_start);
-      }
-    }
-  } catch (...) {
-    errors_[i] = std::current_exception();
-    detail::poison(*transport_, "device " + std::to_string(i), errors_[i]);
+void DistributedDecoder::serve_command(std::size_t i,
+                                       const QuantizedStack* qstack,
+                                       std::size_t kv_block_limit) {
+  DeviceState& state = devices_[i];
+  Tensor raw(0, 0);
+  broadcast(*transport_, mesh_.everyone(), i, mesh_.devices(), raw, kTagCmd);
+  const DecodeCommand cmd = parse_decode_command(
+      raw, state.prompt_lens, model_.spec().max_positions);
+  // Per-request deadline, fixed by the terminal at call entry and shared
+  // by every blocking receive this command triggers.
+  const RecvOptions options = RecvOptions::within(cmd.timeout_seconds);
+  if (cmd.int8 && qstack == nullptr) {
+    throw std::logic_error(
+        "DistributedDecoder: int8 command without a quantized stack");
+  }
+  const QuantizedStack* const int8 = cmd.int8 ? qstack : nullptr;
+  if (cmd.op == DecodeCommand::Op::kPrime) {
+    prime_device(i, cmd, options, int8, kv_block_limit);
+  } else if (cmd.op == DecodeCommand::Op::kStep) {
+    step_device(i, cmd, raw, options, int8);
+  } else {
+    const SlotId slot = cmd.rows.front().slot;
+    for (DecodeLayerCache& cache : state.caches[slot]) cache.release();
+    state.prompt_lens[slot] = 0;
   }
 }
 
-void DistributedDecoder::worker_prefill(std::size_t i, std::size_t n,
-                                        std::vector<DecodeLayerCache>& caches,
-                                        KvBlockPool* pool,
-                                        const RecvOptions& options,
-                                        obs::Tracer* tracer, Precision wire) {
-  const std::size_t k = scheme_.devices();
-  const bool int8 = wire == Precision::kInt8;
+void DistributedDecoder::prime_device(std::size_t i, const DecodeCommand& cmd,
+                                      const RecvOptions& options,
+                                      const QuantizedStack* int8,
+                                      std::size_t kv_block_limit) {
+  DeviceState& state = devices_[i];
+  const std::size_t n = cmd.prompt_len;
+  const SlotId slot = cmd.rows.front().slot;
   const auto layers = model_.layers();
-  // Algorithm 2 prefill with two decode twists: every layer banks this
-  // device's input rows into its resident cache, and the last layer skips
-  // the gather entirely — only the owner of row n-1 sends that single row
-  // (the LM head reads nothing else).
-  Tensor x(0, 0);
-  broadcast(*transport_, everyone_, i, k, x, kTagFeatures, options);
-  const std::size_t f = x.cols();
-  const std::vector<Range> ranges = scheme_.ranges(n);
-  const Range own = ranges[i];
-  std::array<Tensor, 2> seq{Tensor(n, f), Tensor(n, f)};
-  std::array<std::shared_ptr<Tensor>, 2> holders{
-      std::make_shared<Tensor>(0, 0), std::make_shared<Tensor>(0, 0)};
-  const Tensor* input = &x;
-  AttentionPrologue prologue;
-  bool have_prologue = false;
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    const obs::ThreadLayerScope layer_scope(static_cast<std::int64_t>(l));
-    const LayerConfig& config = layers[l].config();
-    // Theorem 2 at the prefill shape fixes this (layer, device)'s resident
-    // form for the whole sequence: naive layers cache K/V, reordered layers
-    // cache the raw input rows.
-    const AttentionDims dims{.n = n,
-                             .p = own.size(),
-                             .f = config.hidden,
-                             .fh = config.head_dim};
-    const AttentionOrder resident = select_order(policy_, dims);
-    caches[l].init(resident, config, pool);
-    if (!own.empty()) {
-      caches[l].append(input->slice_rows(own.begin, own.end),
-                       layers[l].weights().attention);
-    }
-    Tensor part(0, 0);
-    {
-      obs::TraceSpan span(tracer, "layer", "compute",
-                          static_cast<obs::TrackId>(i));
-      span.device(static_cast<std::int64_t>(i))
-          .layer(static_cast<std::int64_t>(l))
-          .tag(int8 ? std::string("int8 ") + to_string(resident)
-                    : std::string(to_string(resident)));
-      part = int8 ? qstack_->partition_forward(l, *input, own, policy_)
-                  : partitioned_layer_forward(
-                        layers[l], *input, own, policy_,
-                        have_prologue ? &prologue : nullptr);
-    }
-    have_prologue = false;
-    auto& holder = holders[l % 2];
-    if (holder.use_count() == 1) {
-      *holder = std::move(part);
-    } else {
-      holder = std::make_shared<Tensor>(std::move(part));
-    }
-    if (l + 1 == layers.size()) {
-      if (own.contains(n - 1)) {
-        auto last_row = std::make_shared<const Tensor>(
-            holder->slice_rows(n - 1 - own.begin, n - own.begin));
-        Payload payload = tensor_payload_view(std::move(last_row));
-        obs::TraceSpan span(tracer, "send_final", "comm",
-                            static_cast<obs::TrackId>(i));
-        span.device(static_cast<std::int64_t>(i))
-            .layer(static_cast<std::int64_t>(l))
-            .bytes(static_cast<std::int64_t>(payload.size() +
-                                             kWireFrameBytes));
-        transport_->send(Message{.source = i,
-                                 .destination = terminal_id(),
-                                 .tag = kTagFinal,
-                                 .payload = std::move(payload)});
-      }
-    } else {
-      // PR-3 overlap: post the zero-copy gather, compute the next layer's
-      // attention prologue from the rows already in hand (the scheme is
-      // uniform across layers, so the next partition is exactly `own`),
-      // then block for the peer rows. The prologue precomputes fp32 Q/K
-      // projections, which the int8 plane never consumes — under kInt8 the
-      // gather ships quantized rows and the overlap window stays empty.
-      AllGatherInto gather(*transport_, workers_, i, holder, ranges,
-                           seq[l % 2], kTagPrefillGatherBase + l, options,
-                           wire);
-      if (!int8 && !own.empty()) {
-        obs::TraceSpan span(tracer, "overlap_compute", "compute",
-                            static_cast<obs::TrackId>(i));
-        span.device(static_cast<std::int64_t>(i))
-            .layer(static_cast<std::int64_t>(l + 1));
-        prologue =
-            attention_prologue(*holder, n, own,
-                               layers[l + 1].weights().attention,
-                               layers[l + 1].config(), policy_);
-        have_prologue = true;
-      }
-      gather.wait();
-      input = &seq[l % 2];
-    }
+  if (state.pool == nullptr) {
+    state.pool = std::make_unique<KvBlockPool>(
+        kv_block_floats(model_.spec().layer), kv_block_limit);
   }
+  if (slot == state.prompt_lens.size()) {
+    state.prompt_lens.push_back(0);
+    state.caches.emplace_back();
+  }
+  std::vector<DecodeLayerCache>& caches = state.caches[slot];
+  caches.resize(layers.size());
+  state.prompt_lens[slot] = n;
+  // Algorithm 2 prefill with two decode twists: every layer banks this
+  // device's input rows into its resident cache, and only the owner of row
+  // n-1 sends that single row (the LM head reads nothing else).
+  prefill_device(
+      mesh_, model_,
+      PrefillPlan{
+          .ranges = std::vector<std::vector<Range>>(layers.size(),
+                                                    scheme_.ranges(n)),
+          .policy = policy_,
+          .int8 = int8,
+          .options = options,
+          .on_layer =
+              [&](std::size_t l, const Tensor& input, Range own) {
+                // Theorem 2 at the prefill shape fixes this (layer,
+                // device)'s resident form for the whole sequence: naive
+                // layers cache K/V, reordered layers cache the raw input.
+                const LayerConfig& config = layers[l].config();
+                const AttentionDims dims{.n = n,
+                                         .p = own.size(),
+                                         .f = config.hidden,
+                                         .fh = config.head_dim};
+                caches[l].init(select_order(policy_, dims), config,
+                               state.pool.get());
+                if (!own.empty()) {
+                  caches[l].append(input.slice_rows(own.begin, own.end),
+                                   layers[l].weights().attention);
+                }
+              },
+          .last_row_only = true},
+      i);
 }
 
-void DistributedDecoder::worker_step_windows(std::size_t i,
-                                             std::vector<WorkerSlot>& slots,
-                                             const Tensor& cmd,
-                                             const RecvOptions& options,
-                                             obs::Tracer* tracer,
-                                             Precision wire) {
+void DistributedDecoder::step_device(std::size_t i, const DecodeCommand& cmd,
+                                     const Tensor& raw,
+                                     const RecvOptions& options,
+                                     const QuantizedStack* int8) {
   const std::size_t k = scheme_.devices();
   const auto layers = model_.layers();
   const std::size_t f = model_.spec().layer.hidden;
-  const bool int8 = wire == Precision::kInt8;
-  const std::size_t rows_total = cmd.rows();
+  const std::size_t rows_total = cmd.rows.size();
+  obs::Tracer* const tracer = obs::thread_tracer();
+  DeviceState& state = devices_[i];
   Tensor x(rows_total, f);
-  if (int8) {
+  if (int8 != nullptr) {
     // The token rows follow the command as one quantized [R x F] broadcast;
     // every worker dequantizes the same payload, so x is identical on all
     // ranks (the redundant-tail invariant below depends on this). Per-row
     // scales make each dequantized row independent of its batch-mates.
-    if (cmd.cols() != kCmdCols) {
+    if (raw.cols() != kCmdCols) {
       throw std::runtime_error("DistributedDecoder: malformed step command");
     }
     Tensor rows(0, 0);
-    broadcast(*transport_, everyone_, i, k, rows, kTagToken, options);
+    broadcast(*transport_, mesh_.everyone(), i, k, rows, kTagToken, options);
     if (rows.rows() != rows_total || rows.cols() != f) {
       throw std::runtime_error("DistributedDecoder: malformed token rows");
     }
     x = std::move(rows);
   } else {
-    if (cmd.cols() != kCmdCols + f) {
+    if (raw.cols() != kCmdCols + f) {
       throw std::runtime_error("DistributedDecoder: malformed step command");
     }
     for (std::size_t r = 0; r < rows_total; ++r) {
-      std::copy_n(cmd.row(r).data() + kCmdCols, f, x.row(r).data());
+      std::copy_n(raw.row(r).data() + kCmdCols, f, x.row(r).data());
     }
   }
   // Group the command rows into per-slot verify windows (consecutive rows
@@ -429,45 +326,28 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
     std::size_t begin = 0;      // first command row
     std::size_t end = 0;        // one past the last
     std::size_t committed = 0;  // leading pre-committed rows
-    WorkerSlot* slot = nullptr;
+    SlotId slot = 0;
+    std::vector<bool> owned;  // per row: this device holds its position
   };
   std::vector<WorkerWindow> windows;
-  std::vector<std::size_t> owner(rows_total);
   for (std::size_t r = 0; r < rows_total; ++r) {
-    const auto slot = static_cast<std::size_t>(cmd(r, 4));
-    const auto t = static_cast<std::size_t>(cmd(r, 1));
-    if (slot >= slots.size() || !slots[slot].active) {
-      throw std::logic_error("DistributedDecoder: step before prime");
-    }
-    owner[r] = (t - slots[slot].prompt_len) % k;
-    const bool committed = cmd(r, 6) != 0.0F;
-    if (windows.empty() || windows.back().slot != &slots[slot]) {
-      windows.push_back(WorkerWindow{.begin = r,
-                                     .end = r + 1,
-                                     .committed = committed ? 1U : 0U,
-                                     .slot = &slots[slot]});
-      if (!committed) {
+    const DecodeCommand::Row& row = cmd.rows[r];
+    if (windows.empty() || windows.back().slot != row.slot) {
+      if (!row.committed) {
         throw std::runtime_error(
             "DistributedDecoder: window starts with a draft row");
       }
-    } else {
-      WorkerWindow& w = windows.back();
-      if (committed && w.committed != w.end - w.begin) {
-        throw std::runtime_error(
-            "DistributedDecoder: committed row after a draft row");
-      }
-      w.end = r + 1;
-      if (committed) ++w.committed;
+      windows.push_back(WorkerWindow{
+          .begin = r, .end = r, .committed = 0, .slot = row.slot, .owned = {}});
+    } else if (row.committed &&
+               windows.back().committed != windows.back().owned.size()) {
+      throw std::runtime_error(
+          "DistributedDecoder: committed row after a draft row");
     }
-  }
-  // Per-window ownership masks, shared by every layer's attention call.
-  std::vector<std::vector<bool>> owned_masks(windows.size());
-  for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-    const WorkerWindow& win = windows[wi];
-    owned_masks[wi].resize(win.end - win.begin);
-    for (std::size_t j = 0; j < owned_masks[wi].size(); ++j) {
-      owned_masks[wi][j] = owner[win.begin + j] == i;
-    }
+    WorkerWindow& w = windows.back();
+    w.end = r + 1;
+    if (row.committed) ++w.committed;
+    w.owned.push_back((row.position - state.prompt_lens[row.slot]) % k == i);
   }
   for (std::size_t l = 0; l < layers.size(); ++l) {
     const obs::ThreadLayerScope layer_scope(static_cast<std::int64_t>(l));
@@ -487,11 +367,11 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
       // later draft (the intra-window causal mask, by construction).
       std::vector<DecodeWindowRef> refs;
       refs.reserve(windows.size());
-      for (std::size_t wi = 0; wi < windows.size(); ++wi) {
-        refs.push_back(DecodeWindowRef{.begin = windows[wi].begin,
-                                       .end = windows[wi].end,
-                                       .owned = &owned_masks[wi],
-                                       .cache = &windows[wi].slot->caches[l]});
+      for (const WorkerWindow& win : windows) {
+        refs.push_back(DecodeWindowRef{.begin = win.begin,
+                                       .end = win.end,
+                                       .owned = &win.owned,
+                                       .cache = &state.caches[win.slot][l]});
       }
       partials = decode_windows_partial_attention(
           x, std::span<const DecodeWindowRef>(refs.data(), refs.size()),
@@ -502,7 +382,7 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
     // the same fixed rank order a single-lane step uses — k draft positions
     // ride the message count of one token.
     const Tensor merged = all_reduce_softmax_merge(
-        *transport_, workers_, i, l % k, partials, config.heads,
+        *transport_, mesh_.workers(), i, l % k, partials, config.heads,
         config.head_dim, kTagMergeBase + 2 * l, options);
     // Post-attention tail on the R rows, redundantly on every device — all
     // ranks leave the layer with bitwise-identical x, so the layer output
@@ -510,8 +390,8 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
     // LayerNorm, FFN) is bitwise row-independent, so each row equals a
     // sequential step of its slot; the int8 tail keeps the invariant via
     // per-row activation scales.
-    if (int8) {
-      x = qstack_->decode_step_tail(l, merged, x);
+    if (int8 != nullptr) {
+      x = int8->decode_step_tail(l, merged, x);
     } else {
       Tensor attn = softmax_merge_finalize(merged, w.attention, config);
       add_inplace(attn, x);
@@ -534,7 +414,7 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
         .bytes(static_cast<std::int64_t>(payload.size() + kWireFrameBytes));
     transport_->send(Message{.source = i,
                              .destination = terminal_id(),
-                             .tag = kTagFinal,
+                             .tag = kTagPrefillFinal,
                              .payload = std::move(payload)});
   }
   // Greedy longest-prefix acceptance, redundantly on every rank: the LM
@@ -551,20 +431,17 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
     span.device(static_cast<std::int64_t>(i));
     const Tensor logits = model_.postprocess_rows(final_rows->slice_rows(
         win.begin + win.committed - 1, win.end - 1));
-    std::size_t accepted = 0;
-    while (accepted < width - win.committed) {
-      const std::size_t draft_row = win.begin + win.committed + accepted;
-      const auto draft = static_cast<TokenId>(cmd(draft_row, 5));
-      if (static_cast<TokenId>(argmax_row(logits, accepted)) != draft) break;
-      ++accepted;
-    }
+    const std::size_t accepted =
+        accept_drafts(logits, 0, width - win.committed, [&](std::size_t j) {
+          return cmd.rows[win.begin + win.committed + j].token;
+        });
     span.accepted(static_cast<std::int64_t>(accepted));
     std::size_t drop_owned = 0;
     for (std::size_t j = win.committed + accepted; j < width; ++j) {
-      if (owner[win.begin + j] == i) ++drop_owned;
+      drop_owned += win.owned[j] ? 1 : 0;
     }
     if (drop_owned == 0) continue;
-    for (DecodeLayerCache& cache : win.slot->caches) {
+    for (DecodeLayerCache& cache : state.caches[win.slot]) {
       cache.truncate(drop_owned);
     }
   }
@@ -572,6 +449,16 @@ void DistributedDecoder::worker_step_windows(std::size_t i,
 
 // ---------------------------------------------------------------------------
 // Terminal side
+
+void DistributedDecoder::post_command() {
+  mesh_.post(
+      [this, qstack = qstack_.get(), limit = kv_block_limit_](std::size_t i) {
+        serve_command(i, qstack, limit);
+      },
+      {.tracer = tracer_,
+       .telemetry = telemetry_,
+       .intra_op_threads = intra_op_threads_});
+}
 
 Tensor DistributedDecoder::prime(std::span<const TokenId> prompt) {
   ensure_alive();
@@ -612,31 +499,27 @@ DistributedDecoder::PrimedSlot DistributedDecoder::prime_slot(
   // Embed before touching the mesh: a bad token id throws here without
   // poisoning anything.
   Tensor features = model_.preprocess(prompt);
-  obs::Tracer* const tracer = tracer_.load(std::memory_order_acquire);
-  const obs::ThreadTracerScope tracer_scope(tracer);
-  const obs::ThreadTrackScope track_scope(
-      static_cast<obs::TrackId>(terminal_id()));
-  // One causal id per request: adopt the caller's (e.g. the server's
-  // per-request scope) or mint a fresh one. The command broadcast carries
-  // it to every worker.
-  const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
-  const RecvOptions options = RecvOptions::within(recv_timeout_seconds_);
-  const std::uint64_t bytes_before = transport_->total_stats().bytes_sent;
-  obs::TraceSpan span(tracer, "decode.prefill", "serve",
-                      static_cast<obs::TrackId>(terminal_id()));
-  span.device(static_cast<std::int64_t>(terminal_id()))
-      .request(static_cast<std::int64_t>(prompt.size()));
-  try {
+  // The command broadcast carries the call's trace id to every worker.
+  return mesh_.call(tracer_, [&] {
+    const RecvOptions options = RecvOptions::within(recv_timeout_seconds_);
+    const std::uint64_t bytes_before = transport_->total_stats().bytes_sent;
+    obs::TraceSpan span(tracer_, "decode.prefill", "serve",
+                        static_cast<obs::TrackId>(terminal_id()));
+    span.device(static_cast<std::int64_t>(terminal_id()))
+        .request(static_cast<std::int64_t>(prompt.size()));
     Tensor cmd(1, kCmdCols);
     cmd(0, 0) = kOpPrime;
     cmd(0, 1) = static_cast<float>(prompt.size());
     cmd(0, 2) = precision_ == Precision::kInt8 ? 1.0F : 0.0F;
-    cmd(0, 3) = static_cast<float>(recv_timeout_seconds_);
+    cmd(0, 3) = deadline_column(recv_timeout_seconds_);
     cmd(0, 4) = static_cast<float>(slot);
-    broadcast(*transport_, everyone_, k, k, cmd, kTagCmd, options);
-    broadcast(*transport_, everyone_, k, k, features, kTagFeatures, options);
+    broadcast(*transport_, mesh_.everyone(), k, k, cmd, kTagCmd, options);
+    post_command();
+    broadcast(*transport_, mesh_.everyone(), k, k, features,
+              kTagPrefillFeatures, options);
     const Tensor last_row = tensor_from_payload(
-        transport_->recv_any(terminal_id(), kTagFinal, options).payload);
+        transport_->recv_any(terminal_id(), kTagPrefillFinal, options)
+            .payload);
     slots_[slot] = SlotMeta{.active = true,
                             .position = prompt.size(),
                             .prompt_len = prompt.size()};
@@ -644,16 +527,10 @@ DistributedDecoder::PrimedSlot DistributedDecoder::prime_slot(
         static_cast<std::int64_t>(transport_->total_stats().bytes_sent -
                                   bytes_before));
     return PrimedSlot{.slot = slot, .logits = model_.postprocess(last_row)};
-  } catch (...) {
-    fail_request();
-  }
+  });
 }
 
 Tensor DistributedDecoder::step(TokenId token) {
-  ensure_alive();
-  if (slots_.empty() || !slots_[0].active) {
-    throw std::logic_error("DistributedDecoder: prime() before step()");
-  }
   const SlotToken lane{.slot = 0, .token = token};
   return step_batch(std::span<const SlotToken>(&lane, 1));
 }
@@ -707,19 +584,14 @@ DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
       }
     }
   }
-  obs::Tracer* const tracer = tracer_.load(std::memory_order_acquire);
-  const obs::ThreadTracerScope tracer_scope(tracer);
-  const obs::ThreadTrackScope track_scope(
-      static_cast<obs::TrackId>(terminal_id()));
-  const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
-  const RecvOptions options = RecvOptions::within(recv_timeout_seconds_);
-  const std::uint64_t bytes_before = transport_->total_stats().bytes_sent;
-  obs::TraceSpan span(tracer, "decode.step", "serve",
-                      static_cast<obs::TrackId>(terminal_id()));
-  span.device(static_cast<std::int64_t>(terminal_id()))
-      .request(static_cast<std::int64_t>(slots_[windows[0].slot].position))
-      .batch(static_cast<std::int64_t>(windows.size()));
-  try {
+  return mesh_.call(tracer_, [&] {
+    const RecvOptions options = RecvOptions::within(recv_timeout_seconds_);
+    const std::uint64_t bytes_before = transport_->total_stats().bytes_sent;
+    obs::TraceSpan span(tracer_, "decode.step", "serve",
+                        static_cast<obs::TrackId>(terminal_id()));
+    span.device(static_cast<std::int64_t>(terminal_id()))
+        .request(static_cast<std::int64_t>(slots_[windows[0].slot].position))
+        .batch(static_cast<std::int64_t>(windows.size()));
     // fp32 step command with the embedded rows inlined: one broadcast
     // carries both the per-row control words and the O(R*F) activation
     // payload. The int8 plane keeps the command minimal and ships the rows
@@ -735,7 +607,7 @@ DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
           cmd(r, 0) = kOpStep;
           cmd(r, 1) = static_cast<float>(slots_[win.slot].position + j);
           cmd(r, 2) = int8 ? 1.0F : 0.0F;
-          cmd(r, 3) = static_cast<float>(recv_timeout_seconds_);
+          cmd(r, 3) = deadline_column(recv_timeout_seconds_);
           cmd(r, 4) = static_cast<float>(win.slot);
           cmd(r, 5) = static_cast<float>(win.tokens[j]);
           cmd(r, 6) = j < win.committed ? 1.0F : 0.0F;
@@ -745,13 +617,14 @@ DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
         }
       }
     }
-    broadcast(*transport_, everyone_, k, k, cmd, kTagCmd, options);
+    broadcast(*transport_, mesh_.everyone(), k, k, cmd, kTagCmd, options);
+    post_command();
     if (int8) {
-      broadcast(*transport_, everyone_, k, k, rows, kTagToken, options,
+      broadcast(*transport_, mesh_.everyone(), k, k, rows, kTagToken, options,
                 Precision::kInt8);
     }
     const Tensor last_rows = tensor_from_payload(
-        transport_->recv(terminal_id(), DeviceId{0}, kTagFinal, options)
+        transport_->recv(terminal_id(), DeviceId{0}, kTagPrefillFinal, options)
             .payload);
     if (last_rows.rows() != rows_total) {
       throw std::runtime_error("DistributedDecoder: malformed final rows");
@@ -769,17 +642,9 @@ DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
     for (std::size_t w = 0; w < windows.size(); ++w) {
       const WindowSpec& win = windows[w];
       const std::size_t drafts = win.tokens.size() - win.committed;
-      std::size_t accepted = 0;
-      while (accepted < drafts) {
-        const std::size_t logits_row =
-            round.row_begin[w] + win.committed - 1 + accepted;
-        const TokenId draft = win.tokens[win.committed + accepted];
-        if (static_cast<TokenId>(argmax_row(round.logits, logits_row)) !=
-            draft) {
-          break;
-        }
-        ++accepted;
-      }
+      const std::size_t accepted = accept_drafts(
+          round.logits, round.row_begin[w] + win.committed - 1, drafts,
+          [&](std::size_t j) { return win.tokens[win.committed + j]; });
       round.accepted[w] = accepted;
       slots_[win.slot].position += win.committed + accepted;
       committed_total += win.committed + accepted;
@@ -796,16 +661,10 @@ DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
             static_cast<std::int64_t>(transport_->total_stats().bytes_sent -
                                       bytes_before));
     return round;
-  } catch (...) {
-    fail_request();
-  }
+  });
 }
 
 Tensor DistributedDecoder::step_batch(std::span<const SlotToken> batch) {
-  ensure_alive();
-  if (batch.empty()) {
-    throw std::invalid_argument("DistributedDecoder: empty batch");
-  }
   std::vector<WindowSpec> windows(batch.size());
   for (std::size_t r = 0; r < batch.size(); ++r) {
     windows[r] = WindowSpec{.slot = batch[r].slot,
@@ -821,9 +680,6 @@ Tensor DistributedDecoder::step_batch(std::span<const SlotToken> batch) {
 std::vector<LaneCommit> DistributedDecoder::step_speculative(
     std::span<const SlotWindow> lanes) {
   ensure_alive();
-  if (lanes.empty()) {
-    throw std::invalid_argument("DistributedDecoder: empty batch");
-  }
   std::vector<WindowSpec> windows(lanes.size());
   for (std::size_t w = 0; w < lanes.size(); ++w) {
     const SlotWindow& lane = lanes[w];
@@ -872,32 +728,23 @@ void DistributedDecoder::release_slot(SlotId slot) {
   if (!slot_active(slot)) {
     throw std::out_of_range("DistributedDecoder: inactive slot");
   }
-  obs::Tracer* const tracer = tracer_.load(std::memory_order_acquire);
-  const obs::ThreadTracerScope tracer_scope(tracer);
-  const obs::ThreadTrackScope track_scope(
-      static_cast<obs::TrackId>(terminal_id()));
-  const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
-  try {
+  mesh_.call(tracer_, [&] {
     Tensor cmd(1, kCmdCols);
     cmd(0, 0) = kOpRelease;
     cmd(0, 2) = precision_ == Precision::kInt8 ? 1.0F : 0.0F;
-    cmd(0, 3) = static_cast<float>(recv_timeout_seconds_);
+    cmd(0, 3) = deadline_column(recv_timeout_seconds_);
     cmd(0, 4) = static_cast<float>(slot);
     const std::size_t k = scheme_.devices();
-    broadcast(*transport_, everyone_, k, k, cmd, kTagCmd);
+    broadcast(*transport_, mesh_.everyone(), k, k, cmd, kTagCmd);
+    post_command();
     slots_[slot] = SlotMeta{};
-  } catch (...) {
-    fail_request();
-  }
+  });
 }
 
 Tensor DistributedDecoder::extend(std::span<const TokenId> tokens) {
   ensure_alive();
   if (tokens.empty()) {
     throw std::invalid_argument("DistributedDecoder: empty extension");
-  }
-  if (slots_.empty() || !slots_[0].active) {
-    throw std::logic_error("DistributedDecoder: prime() before step()");
   }
   // One all-committed window: every token is appended in a single wire
   // round (the caches grow exactly as if each token had been step()ed) and

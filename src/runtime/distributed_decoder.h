@@ -39,19 +39,21 @@
 // token-identical to sequential greedy decode (DESIGN.md "Speculative
 // decoding").
 //
-// Device k = persistent worker thread k (spawned once at construction; the
-// caches live on them across calls); the calling thread is the terminal
-// device K, running embedding and the LM head. New decode positions are
-// assigned round-robin per slot so cache growth stays balanced. Failure
-// containment follows the runtimes: first failing thread poisons the
-// transport, the terminal joins everyone and rethrows the root cause; the
-// decoder (and every slot on it) is dead afterwards — build a new one.
+// Device k = device k of the decoder's DeviceMesh (runtime/mesh.h); each
+// call broadcasts one command and posts one job per device, which receives
+// that command from the wire and serves it against the device's resident
+// caches — state only that device's jobs touch, so it outlives every call.
+// The calling thread is the terminal device K, running embedding and the LM
+// head. New decode positions are assigned round-robin per slot so cache
+// growth stays balanced. Failure containment is the mesh's: the first
+// failing party poisons the transport and the terminal rethrows the root
+// cause; the decoder (and every slot on it) is dead afterwards — build a
+// new one.
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "net/quant_codec.h"
@@ -63,6 +65,7 @@
 #include "partition/order.h"
 #include "partition/scheme.h"
 #include "quant/quantized_stack.h"
+#include "runtime/mesh.h"
 #include "transformer/model.h"
 
 namespace voltage {
@@ -95,6 +98,35 @@ struct LaneCommit {
   Tensor logits;                // [1 x vocab] — produced tokens.back()
 };
 
+// One decoder command as a worker reads it off the wire (the column layout
+// is in distributed_decoder.cpp). Prime and release commands have one row
+// naming the slot; a step command has one row per window position.
+struct DecodeCommand {
+  enum class Op : std::uint8_t { kPrime = 1, kStep = 2, kRelease = 5 };
+  struct Row {
+    SlotId slot = 0;
+    std::size_t position = 0;  // step: the row's position; prime: length
+    TokenId token = 0;
+    bool committed = true;  // step: false for a draft row
+  };
+  Op op = Op::kPrime;
+  bool int8 = false;
+  double timeout_seconds = 0.0;
+  std::size_t prompt_len = 0;  // prime
+  std::vector<Row> rows;
+};
+
+// Validates and decodes the control columns of a command for a worker whose
+// slot s holds a prompt of prompt_lens[s] positions (0 = free slot). Every
+// integer column must be finite and integral and the deadline in
+// [0, 1e9] seconds; the opcode must be known, a prime slot at most
+// prompt_lens.size(), a prompt length in [1, max_positions], a step slot
+// live and its position in [prompt length, max_positions). Throws
+// std::runtime_error otherwise.
+[[nodiscard]] DecodeCommand parse_decode_command(
+    const Tensor& cmd, std::span<const std::size_t> prompt_lens,
+    std::size_t max_positions);
+
 class DistributedDecoder {
  public:
   // Requires a causal LM; `scheme.devices()` workers plus the terminal.
@@ -106,12 +138,6 @@ class DistributedDecoder {
   // tests). Must have devices() == scheme devices + 1 (the terminal).
   DistributedDecoder(const TransformerModel& model, PartitionScheme scheme,
                      OrderPolicy policy, std::unique_ptr<Transport> transport);
-
-  // Shuts the workers down (or just joins them if the mesh is poisoned).
-  ~DistributedDecoder();
-
-  DistributedDecoder(const DistributedDecoder&) = delete;
-  DistributedDecoder& operator=(const DistributedDecoder&) = delete;
 
   // --- Single-sequence API (slot 0) ----------------------------------------
 
@@ -200,17 +226,16 @@ class DistributedDecoder {
   // Attaches a span tracer (nullptr detaches). The terminal emits
   // "decode.prefill" / "decode.step" spans carrying the token index, the
   // batch size and the step's total wire bytes; workers emit per-layer
-  // compute and softmax-merge comm spans on their own tracks, plus a
-  // "wait_command" span covering each idle wait. Because that wait span
-  // closes when the shutdown command arrives, an attached tracer must
-  // outlive the decoder object itself, not just the last request — declare
-  // the tracer first.
+  // compute and softmax-merge comm spans on their own tracks. Each call's
+  // jobs run under the tracer attached when the call was made.
   //
-  // Flow-graph closure caveat: prime()/step() return on the terminal's
-  // critical path, while workers off that path may still be draining their
-  // last collective receives. Every arrow of a request is only guaranteed
-  // matched on the trace once the decoder has been destroyed (or served a
-  // later command) — export after teardown if you intend to --validate.
+  // prime()/step() return on the terminal's critical path, while workers
+  // off that path may still be finishing the call's jobs (their last
+  // collective receives, the acceptance pass). set_tracer waits for those
+  // jobs, so the previous tracer may be destroyed once it returns; an
+  // attached tracer must stay alive until it is detached or the decoder is
+  // destroyed. Every arrow of a request is only guaranteed matched on the
+  // trace after that point — export then if you intend to --validate.
   void set_tracer(obs::Tracer* tracer);
 
   // Attaches transport.* counters plus the "decode.tokens" counter.
@@ -221,7 +246,7 @@ class DistributedDecoder {
   // waits) so the hub can expose per-device utilization; idle waiting
   // between commands does not count as busy.
   void set_telemetry(obs::TelemetryHub* telemetry) noexcept {
-    telemetry_.store(telemetry, std::memory_order_release);
+    telemetry_ = telemetry;
   }
 
   // Attaches the crash-dump flight recorder to the transport (see
@@ -231,8 +256,7 @@ class DistributedDecoder {
   }
 
   // Per-request receive budget in seconds (default 0: wait forever),
-  // threaded through every blocking receive of a prime/step — idle workers
-  // always wait without a deadline, so a decoder may sit unused forever.
+  // threaded through every blocking receive of a prime/step.
   void set_recv_timeout(double seconds) noexcept {
     recv_timeout_seconds_ = seconds;
   }
@@ -244,13 +268,13 @@ class DistributedDecoder {
   // like any other device failure — size the cap (or the admission policy
   // above) so steady-state serving never hits it.
   void set_kv_block_limit(std::size_t blocks) noexcept {
-    kv_block_limit_.store(blocks, std::memory_order_relaxed);
+    kv_block_limit_ = blocks;
   }
 
   // Intra-op thread budget for each worker's kernels (default 1; see
   // VoltageRuntime::set_intra_op_threads — bitwise-neutral).
   void set_intra_op_threads(std::size_t n) noexcept {
-    intra_op_threads_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
+    intra_op_threads_ = n == 0 ? 1 : n;
   }
 
   // Precision::kInt8 switches the hot paths to the quantized plane: prefill
@@ -276,11 +300,15 @@ class DistributedDecoder {
     std::size_t prompt_len = 0;  // fixes the round-robin owner phase
   };
 
-  // Worker-side state of one slot: the per-layer resident caches.
-  struct WorkerSlot {
-    bool active = false;
-    std::size_t prompt_len = 0;
-    std::vector<DecodeLayerCache> caches;
+  // One device's resident state, touched only by that device's jobs.
+  struct DeviceState {
+    // One KV arena shared by every (slot, layer) cache: a released
+    // sequence's blocks are immediately reusable by the next one. Created
+    // at the first prefill so set_kv_block_limit can run after
+    // construction.
+    std::unique_ptr<KvBlockPool> pool;
+    std::vector<std::size_t> prompt_lens;  // per slot; 0 = free
+    std::vector<std::vector<DecodeLayerCache>> caches;  // [slot][layer]
   };
 
   // One verify/step round as the terminal sees it: window w commits the
@@ -300,45 +328,41 @@ class DistributedDecoder {
   [[nodiscard]] WindowRound run_window_round(
       std::span<const WindowSpec> windows);
 
-  void worker_main(std::size_t i);
-  void worker_prefill(std::size_t i, std::size_t n,
-                      std::vector<DecodeLayerCache>& caches,
-                      KvBlockPool* pool, const RecvOptions& options,
-                      obs::Tracer* tracer, Precision wire);
-  void worker_step_windows(std::size_t i, std::vector<WorkerSlot>& slots,
-                           const Tensor& cmd, const RecvOptions& options,
-                           obs::Tracer* tracer, Precision wire);
+  // Posts the job that serves the command just broadcast, once its first
+  // broadcast is on the wire.
+  void post_command();
+  // Worker side: one command, served by device i.
+  void serve_command(std::size_t i, const QuantizedStack* qstack,
+                     std::size_t kv_block_limit);
+  void prime_device(std::size_t i, const DecodeCommand& cmd,
+                    const RecvOptions& options, const QuantizedStack* int8,
+                    std::size_t kv_block_limit);
+  void step_device(std::size_t i, const DecodeCommand& cmd, const Tensor& raw,
+                   const RecvOptions& options, const QuantizedStack* int8);
 
+  // Throws once a call has failed the mesh: the decoder is dead.
   void ensure_alive() const;
-  void join_workers() noexcept;
-  // Terminal failure path: poison, join, report the root cause. Never
-  // returns normally; the decoder is dead afterwards.
-  [[noreturn]] void fail_request();
 
   const TransformerModel& model_;
   PartitionScheme scheme_;
   OrderPolicy policy_;
   std::unique_ptr<Transport> transport_;
-  std::vector<DeviceId> everyone_;  // workers + terminal (broadcast group)
-  std::vector<DeviceId> workers_;   // merge group
 
-  std::atomic<obs::Tracer*> tracer_{nullptr};
-  std::atomic<obs::TelemetryHub*> telemetry_{nullptr};
+  obs::Tracer* tracer_ = nullptr;
+  obs::TelemetryHub* telemetry_ = nullptr;
   obs::Counter* decode_tokens_ = nullptr;
-  std::atomic<std::size_t> intra_op_threads_{1};
-  std::atomic<std::size_t> kv_block_limit_{0};  // 0 = unbounded
-  double recv_timeout_seconds_ = 0.0;           // <= 0: no deadline
+  std::size_t intra_op_threads_ = 1;
+  std::size_t kv_block_limit_ = 0;     // 0 = unbounded
+  double recv_timeout_seconds_ = 0.0;  // <= 0: no deadline
   Precision precision_ = Precision::kFp32;
-  // Built lazily by set_precision(kInt8); workers read it while serving an
-  // int8-flagged command, which happens-after the terminal set it (the
-  // command broadcast's mailbox handoff orders the accesses).
+  // Built lazily by set_precision(kInt8); each call's jobs get the pointer
+  // when they are posted.
   std::unique_ptr<QuantizedStack> qstack_;
 
   std::vector<SlotMeta> slots_;  // terminal's view, indexed by SlotId
-  bool dead_ = false;
 
-  std::vector<std::exception_ptr> errors_;  // one slot per worker
-  std::vector<std::thread> threads_;
+  std::vector<DeviceState> devices_;  // [device]
+  DeviceMesh mesh_;  // last member: its threads stop before any state dies
 };
 
 }  // namespace voltage

@@ -1,0 +1,223 @@
+#include "runtime/mesh.h"
+
+#include <numeric>
+#include <thread>
+
+#include "core/thread_pool.h"
+
+namespace voltage {
+
+namespace {
+
+// The threads every mesh's devices run on. A task (one device's queue
+// drain) goes to an idle thread, or to a new one when none is idle, so a
+// task never waits behind another that may be blocked on it.
+class DeviceThreads {
+ public:
+  static DeviceThreads& shared() {
+    static DeviceThreads threads;
+    return threads;
+  }
+
+  ~DeviceThreads() {
+    {
+      const std::lock_guard lock(mutex_);
+      stopping_ = true;
+      for (Idle* idle : idle_) idle->wake.notify_one();
+    }
+    for (std::thread& t : threads_) t.join();
+  }
+
+  void run(std::function<void()> task) {
+    Idle* idle = nullptr;
+    {
+      const std::lock_guard lock(mutex_);
+      if (idle_.empty()) {
+        threads_.emplace_back([this, first = std::move(task)]() mutable {
+          loop(std::move(first));
+        });
+        return;
+      }
+      idle = idle_.back();
+      idle_.pop_back();
+      idle->task = std::move(task);
+    }
+    // Outside the lock, so the woken thread need not wait for it; its Idle
+    // lives as long as the thread.
+    idle->wake.notify_one();
+  }
+
+ private:
+  struct Idle {
+    std::function<void()> task;  // handed over by run()
+    std::condition_variable wake;
+  };
+
+  void loop(std::function<void()> task) {
+    Idle self;
+    for (;;) {
+      task();
+      std::unique_lock lock(mutex_);
+      if (stopping_) return;
+      idle_.push_back(&self);
+      self.wake.wait(lock, [&] { return self.task != nullptr || stopping_; });
+      if (self.task == nullptr) return;  // stopping
+      task = std::move(self.task);
+      self.task = nullptr;
+    }
+  }
+
+  std::mutex mutex_;  // guards everything below
+  std::vector<Idle*> idle_;
+  std::vector<std::thread> threads_;
+  bool stopping_ = false;
+};
+
+std::string describe(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown error";
+  }
+}
+
+// A TransportClosedError is the secondary failure someone else's poisoning
+// caused, not a root cause.
+bool is_transport_closed(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const TransportClosedError&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
+// Names the failing party and its error in the close reason. Never throws:
+// it runs while a failure is already unwinding.
+void poison(Transport& transport, const std::string& who,
+            const std::exception_ptr& error) noexcept {
+  try {
+    transport.close(who + " failed: " + describe(error));
+  } catch (...) {
+  }
+}
+
+}  // namespace
+
+DeviceMesh::DeviceMesh(Transport& transport, std::size_t devices)
+    : transport_(transport),
+      everyone_(devices + 1),
+      workers_(devices),
+      queues_(devices),
+      errors_(devices) {
+  std::iota(everyone_.begin(), everyone_.end(), DeviceId{0});
+  std::iota(workers_.begin(), workers_.end(), DeviceId{0});
+  // Constructed first, so the shared threads outlive every mesh.
+  (void)DeviceThreads::shared();
+}
+
+void DeviceMesh::name_tracks(obs::Tracer* tracer,
+                             const std::string& device_name) const {
+  if (tracer == nullptr) return;
+  for (std::size_t i = 0; i < devices(); ++i) {
+    tracer->set_track_name(static_cast<obs::TrackId>(i),
+                           device_name + " " + std::to_string(i));
+  }
+  tracer->set_track_name(static_cast<obs::TrackId>(terminal()), "terminal");
+}
+
+void DeviceMesh::post(Job job, const Context& context) {
+  const auto round = std::make_shared<const Round>(
+      Round{.job = std::move(job),
+            .context = context,
+            .trace_id = obs::thread_trace_id()});
+  std::vector<std::size_t> idle;  // devices with no thread yet
+  {
+    const std::lock_guard lock(mutex_);
+    for (std::size_t i = 0; i < devices(); ++i) {
+      if (queues_[i].empty()) idle.push_back(i);
+      queues_[i].push_back(round);
+    }
+    pending_ += devices();
+  }
+  for (const std::size_t i : idle) {
+    DeviceThreads::shared().run([this, i] { drain_device(i); });
+  }
+}
+
+void DeviceMesh::drain_device(std::size_t device) {
+  std::unique_lock lock(mutex_);
+  for (;;) {
+    // The running job stays queued: a device's queue is non-empty exactly
+    // while a thread drains it.
+    const std::shared_ptr<const Round> round = queues_[device].front();
+    lock.unlock();
+    std::exception_ptr error = run(device, *round);
+    lock.lock();
+    queues_[device].pop_front();
+    if (error != nullptr && errors_[device] == nullptr) {
+      errors_[device] = std::move(error);
+    }
+    --pending_;
+    if (queues_[device].empty()) break;
+  }
+  // Same critical section as the last job's count: once drain() sees no
+  // pending job, no device touches the mesh again.
+  idle_.notify_all();
+}
+
+std::exception_ptr DeviceMesh::run(std::size_t device,
+                                   const Round& round) noexcept {
+  const obs::ThreadTracerScope tracer_scope(round.context.tracer);
+  const obs::ThreadTrackScope track_scope(static_cast<obs::TrackId>(device));
+  const obs::TraceIdScope trace_scope(round.trace_id);
+  const IntraOpScope intra_scope(round.context.intra_op_threads);
+  obs::TelemetryHub* const telemetry = round.context.telemetry;
+  const obs::Micros start = telemetry != nullptr ? obs::now_us() : 0;
+  std::exception_ptr error;
+  try {
+    round.job(device);
+  } catch (...) {
+    error = std::current_exception();
+    poison(transport_, "device " + std::to_string(device), error);
+  }
+  if (telemetry != nullptr) {
+    telemetry->add_device_busy(device, obs::now_us() - start);
+  }
+  return error;
+}
+
+void DeviceMesh::drain() noexcept {
+  std::unique_lock lock(mutex_);
+  idle_.wait(lock, [this] { return pending_ == 0; });
+}
+
+void DeviceMesh::wait() { rethrow_root_cause(nullptr); }
+
+void DeviceMesh::fail(std::exception_ptr error) {
+  failed_ = true;
+  poison(transport_, "terminal", error);
+  rethrow_root_cause(error);
+  std::rethrow_exception(error);  // unreachable: `error` is non-null
+}
+
+void DeviceMesh::rethrow_root_cause(const std::exception_ptr& terminal_error) {
+  drain();
+  std::vector<std::exception_ptr> errors(errors_.size());
+  {
+    const std::lock_guard lock(mutex_);
+    errors.swap(errors_);
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e != nullptr && !is_transport_closed(e)) std::rethrow_exception(e);
+  }
+  if (terminal_error != nullptr) std::rethrow_exception(terminal_error);
+  for (const std::exception_ptr& e : errors) {
+    if (e != nullptr) std::rethrow_exception(e);
+  }
+}
+
+}  // namespace voltage

@@ -1,11 +1,7 @@
 #include "runtime/pipeline_runtime.h"
 
-#include <exception>
 #include <stdexcept>
-#include <thread>
 
-#include "core/thread_pool.h"
-#include "runtime/failure.h"
 #include "tensor/serialize.h"
 
 namespace voltage {
@@ -25,7 +21,10 @@ PipelineRuntime::PipelineRuntime(const TransformerModel& model,
 PipelineRuntime::PipelineRuntime(const TransformerModel& model,
                                  std::size_t devices,
                                  std::unique_ptr<Transport> transport)
-    : model_(model), devices_(devices), transport_(std::move(transport)) {
+    : model_(model),
+      devices_(devices),
+      transport_(std::move(transport)),
+      mesh_(*transport_, devices) {
   if (devices == 0) {
     throw std::invalid_argument("PipelineRuntime: zero devices");
   }
@@ -46,87 +45,57 @@ Range PipelineRuntime::stage_layers(std::size_t stage) const {
                .end = layers * (stage + 1) / devices_};
 }
 
-void PipelineRuntime::set_tracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ == nullptr) return;
-  for (std::size_t i = 0; i < devices_; ++i) {
-    tracer_->set_track_name(static_cast<obs::TrackId>(i),
-                            "stage " + std::to_string(i));
+void PipelineRuntime::run_stage(std::size_t stage, std::size_t requests) {
+  obs::Tracer* const tracer = obs::thread_tracer();
+  const auto layers = model_.layers();
+  const Range mine = stage_layers(stage);
+  const DeviceId terminal = devices_;
+  const DeviceId upstream = stage == 0 ? terminal : stage - 1;
+  const DeviceId downstream = stage + 1 == devices_ ? terminal : stage + 1;
+  for (std::size_t r = 0; r < requests; ++r) {
+    const MessageTag tag = kTagRequestBase + r;
+    Tensor x(0, 0);
+    {
+      // Receiving adopts the request's trace id, so the stage span below
+      // and the downstream send share it.
+      obs::TraceSpan span(tracer, "recv_activation", "comm",
+                          static_cast<obs::TrackId>(stage));
+      span.device(static_cast<std::int64_t>(stage))
+          .request(static_cast<std::int64_t>(r));
+      x = tensor_from_payload(transport_->recv(stage, upstream, tag).payload);
+    }
+    {
+      obs::TraceSpan span(tracer, "stage", "compute",
+                          static_cast<obs::TrackId>(stage));
+      span.device(static_cast<std::int64_t>(stage))
+          .request(static_cast<std::int64_t>(r));
+      for (std::size_t l = mine.begin; l < mine.end; ++l) {
+        x = layers[l].forward(x);
+      }
+    }
+    Payload payload = to_bytes(x);
+    obs::TraceSpan span(tracer, "send_activation", "comm",
+                        static_cast<obs::TrackId>(stage));
+    span.device(static_cast<std::int64_t>(stage))
+        .request(static_cast<std::int64_t>(r))
+        .bytes(static_cast<std::int64_t>(payload.size()));
+    transport_->send(Message{.source = stage,
+                             .destination = downstream,
+                             .tag = tag,
+                             .payload = std::move(payload)});
   }
-  tracer_->set_track_name(static_cast<obs::TrackId>(devices_), "terminal");
 }
 
 std::vector<Tensor> PipelineRuntime::infer_batch(
     std::span<const InferenceInput> requests) {
   const std::size_t k = devices_;
   const DeviceId terminal = k;
-  const auto layers = model_.layers();
-
-  std::vector<std::exception_ptr> errors(k);
-  std::vector<std::thread> threads;
-  threads.reserve(k);
-  for (std::size_t stage = 0; stage < k; ++stage) {
-    threads.emplace_back([&, stage] {
-      const obs::ThreadTracerScope tracer_scope(tracer_);
-      const obs::ThreadTrackScope track_scope(
-          static_cast<obs::TrackId>(stage));
-      // Stages are the parallelism; keep each stage's kernels
-      // single-threaded so K stages don't oversubscribe the host.
-      const IntraOpScope intra_scope(1);
-      try {
-        const Range mine = stage_layers(stage);
-        const DeviceId upstream = stage == 0 ? terminal : stage - 1;
-        const DeviceId downstream = stage + 1 == k ? terminal : stage + 1;
-        for (std::size_t r = 0; r < requests.size(); ++r) {
-          const MessageTag tag = kTagRequestBase + r;
-          Tensor x(0, 0);
-          {
-            // Receiving adopts the request's trace id, so the stage span
-            // below and the downstream send share it.
-            obs::TraceSpan span(tracer_, "recv_activation", "comm",
-                                static_cast<obs::TrackId>(stage));
-            span.device(static_cast<std::int64_t>(stage))
-                .request(static_cast<std::int64_t>(r));
-            x = tensor_from_payload(
-                transport_->recv(stage, upstream, tag).payload);
-          }
-          {
-            obs::TraceSpan span(tracer_, "stage", "compute",
-                                static_cast<obs::TrackId>(stage));
-            span.device(static_cast<std::int64_t>(stage))
-                .request(static_cast<std::int64_t>(r));
-            for (std::size_t l = mine.begin; l < mine.end; ++l) {
-              x = layers[l].forward(x);
-            }
-          }
-          Payload payload = to_bytes(x);
-          obs::TraceSpan span(tracer_, "send_activation", "comm",
-                              static_cast<obs::TrackId>(stage));
-          span.device(static_cast<std::int64_t>(stage))
-              .request(static_cast<std::int64_t>(r))
-              .bytes(static_cast<std::int64_t>(payload.size()));
-          transport_->send(Message{.source = stage,
-                                   .destination = downstream,
-                                   .tag = tag,
-                                   .payload = std::move(payload)});
-        }
-      } catch (...) {
-        errors[stage] = std::current_exception();
-        // Poison the fabric: upstream/downstream stages and the terminal
-        // block on this stage's sends, so a dead stage must unwedge them.
-        detail::poison(*transport_, "stage " + std::to_string(stage),
-                       errors[stage]);
-      }
-    });
-  }
-
   // Terminal: pre-process and inject every request, then collect results
   // in order. Injection does not wait for completions, so the stages fill.
   const obs::ThreadTracerScope tracer_scope(tracer_);
   const obs::ThreadTrackScope track_scope(
       static_cast<obs::TrackId>(terminal));
   std::vector<Tensor> results(requests.size());
-  std::exception_ptr terminal_error;
   try {
     for (std::size_t r = 0; r < requests.size(); ++r) {
       // One trace id per injected request (or the caller's ambient id for
@@ -154,6 +123,15 @@ std::vector<Tensor> PipelineRuntime::infer_batch(
                                .destination = 0,
                                .tag = kTagRequestBase + r,
                                .payload = std::move(payload)});
+      if (r == 0) {
+        // Stages are the parallelism; each stage's kernels stay
+        // single-threaded so K stages don't oversubscribe the host.
+        mesh_.post(
+            [this, n = requests.size()](std::size_t stage) {
+              run_stage(stage, n);
+            },
+            {.tracer = tracer_, .telemetry = nullptr, .intra_op_threads = 1});
+      }
     }
     for (std::size_t r = 0; r < requests.size(); ++r) {
       Tensor hidden(0, 0);
@@ -168,12 +146,9 @@ std::vector<Tensor> PipelineRuntime::infer_batch(
       results[r] = model_.postprocess(hidden);
     }
   } catch (...) {
-    terminal_error = std::current_exception();
-    detail::poison(*transport_, "terminal", terminal_error);
+    mesh_.fail(std::current_exception());
   }
-
-  for (std::thread& t : threads) t.join();
-  detail::rethrow_failure(errors, terminal_error);
+  mesh_.wait();
   return results;
 }
 

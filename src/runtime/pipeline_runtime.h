@@ -2,7 +2,7 @@
 // the paper discusses in §V-C, executed over the transport rather than just
 // modeled.
 //
-// Layers are split into K contiguous stages, one device (thread) per stage;
+// Layers are split into K contiguous stages, one mesh device per stage;
 // activations flow stage to stage tagged by request index, so a stream of
 // requests overlaps naturally: stage 0 works on request r+1 while stage 1
 // handles request r. A single request still traverses every layer
@@ -18,6 +18,7 @@
 #include "net/transport.h"
 #include "obs/trace.h"
 #include "partition/range.h"
+#include "runtime/mesh.h"
 #include "transformer/model.h"
 
 namespace voltage {
@@ -55,7 +56,10 @@ class PipelineRuntime {
   // "stage" compute span per request plus activation send/recv comm spans;
   // every request carries its own trace id end to end, so overlapping
   // requests render as distinct causal chains through the pipeline.
-  void set_tracer(obs::Tracer* tracer);
+  void set_tracer(obs::Tracer* tracer) {
+    tracer_ = tracer;
+    mesh_.name_tracks(tracer, "stage");
+  }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
   // Attaches transport.* counters (see Transport::set_metrics).
@@ -64,10 +68,13 @@ class PipelineRuntime {
   }
 
  private:
+  void run_stage(std::size_t stage, std::size_t requests);
+
   const TransformerModel& model_;
   std::size_t devices_;
   std::unique_ptr<Transport> transport_;
   obs::Tracer* tracer_ = nullptr;  // non-owning; nullptr = tracing off
+  DeviceMesh mesh_;  // after transport_: its threads stop first
 };
 
 }  // namespace voltage

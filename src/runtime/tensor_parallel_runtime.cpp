@@ -1,13 +1,8 @@
 #include "runtime/tensor_parallel_runtime.h"
 
-#include <exception>
-#include <numeric>
 #include <stdexcept>
-#include <thread>
 
 #include "collective/collectives.h"
-#include "core/thread_pool.h"
-#include "runtime/failure.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "transformer/attention.h"
@@ -46,7 +41,8 @@ TensorParallelRuntime::TensorParallelRuntime(
     : model_(model),
       devices_(devices),
       star_allreduce_(star_allreduce),
-      transport_(std::move(transport)) {
+      transport_(std::move(transport)),
+      mesh_(*transport_, devices) {
   if (devices == 0) {
     throw std::invalid_argument("TensorParallelRuntime: zero devices");
   }
@@ -69,166 +65,116 @@ Range TensorParallelRuntime::ffn_shard(std::size_t device) const {
   return even_shard(model_.spec().layer.ffn_dim, devices_, device);
 }
 
-void TensorParallelRuntime::set_tracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ == nullptr) return;
-  for (std::size_t i = 0; i < devices_; ++i) {
-    tracer_->set_track_name(static_cast<obs::TrackId>(i),
-                            "device " + std::to_string(i));
-  }
-  tracer_->set_track_name(static_cast<obs::TrackId>(terminal_id()),
-                          "terminal");
-}
-
 Tensor TensorParallelRuntime::infer(std::span<const TokenId> tokens) {
-  const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
   return run(model_.preprocess(tokens));
 }
 
 Tensor TensorParallelRuntime::infer(const Image& image) {
-  const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
   return run(model_.preprocess(image));
+}
+
+void TensorParallelRuntime::device_forward(std::size_t i) {
+  const std::size_t k = devices_;
+  const auto layers = model_.layers();
+  const Range heads = head_shard(i);
+  const Range ffn_cols = ffn_shard(i);
+  obs::Tracer* const tracer = obs::thread_tracer();
+
+  Tensor x(0, 0);
+  broadcast(*transport_, mesh_.everyone(), i, k, x, kTagBroadcast);
+  const std::size_t n = x.rows();
+  const std::size_t f = x.cols();
+  // Sums this shard's partial with every other shard's (ring or star).
+  const auto all_reduce = [&](Tensor partial, MessageTag tag) {
+    if (k == 1) return partial;
+    return star_allreduce_
+               ? naive_all_reduce_sum(*transport_, mesh_.workers(), i,
+                                      std::move(partial), tag)
+               : ring_all_reduce_sum(*transport_, mesh_.workers(), i,
+                                     std::move(partial), tag);
+  };
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    // The whole per-layer body is one compute span; the two all-reduce comm
+    // spans nest inside it (critical-path analysis subtracts nested comm
+    // from compute, so nothing double-counts).
+    obs::TraceSpan layer_span(tracer, "layer", "compute",
+                              static_cast<obs::TrackId>(i));
+    layer_span.device(static_cast<std::int64_t>(i))
+        .layer(static_cast<std::int64_t>(l));
+    const obs::ThreadLayerScope layer_scope(static_cast<std::int64_t>(l));
+    const LayerConfig& cfg = layers[l].config();
+    const LayerWeights& w = layers[l].weights();
+    const MessageTag tag = kTagLayerBase + l * kTagLayerStride;
+
+    // --- attention: own heads, matching W_O rows, partial sum ------
+    Tensor partial(n, f);
+    if (!heads.empty()) {
+      std::vector<Tensor> outs;
+      outs.reserve(heads.size());
+      for (std::size_t h = heads.begin; h < heads.end; ++h) {
+        outs.push_back(attention_head_full(x, w.attention.heads[h],
+                                           cfg.head_dim, cfg.causal));
+      }
+      const Tensor wo_rows = w.attention.wo.slice_rows(
+          heads.begin * cfg.head_dim, heads.end * cfg.head_dim);
+      partial = matmul(concat_cols(outs), wo_rows);
+    }
+    Tensor attn = all_reduce(std::move(partial), tag);
+    // Replicated position-wise tail of the attention block.
+    add_bias_inplace(attn, w.attention.bo);
+    add_inplace(attn, x);
+    const Tensor y =
+        layernorm_rows(attn, w.ln_attention.gamma, w.ln_attention.beta);
+
+    // --- FFN: column shard of W1, row shard of W2, partial sum -----
+    Tensor ffn_partial(n, f);
+    if (!ffn_cols.empty()) {
+      Tensor hidden =
+          matmul(y, w.ffn.w1.slice_cols(ffn_cols.begin, ffn_cols.end));
+      add_bias_inplace(hidden,
+                       w.ffn.b1.slice_cols(ffn_cols.begin, ffn_cols.end));
+      hidden =
+          cfg.activation == Activation::kGelu ? gelu(hidden) : relu(hidden);
+      ffn_partial =
+          matmul(hidden, w.ffn.w2.slice_rows(ffn_cols.begin, ffn_cols.end));
+    }
+    Tensor ffn = all_reduce(std::move(ffn_partial), tag + kTagLayerStride / 2);
+    add_bias_inplace(ffn, w.ffn.b2);
+    add_inplace(ffn, y);
+    x = layernorm_rows(ffn, w.ln_ffn.gamma, w.ln_ffn.beta);
+  }
+  // Everyone holds the full output; the first worker reports it.
+  if (i == 0) {
+    Payload payload = to_bytes(x);
+    obs::TraceSpan span(tracer, "send_final", "comm",
+                        static_cast<obs::TrackId>(i));
+    span.device(static_cast<std::int64_t>(i))
+        .bytes(static_cast<std::int64_t>(payload.size()));
+    transport_->send(Message{.source = i,
+                             .destination = terminal_id(),
+                             .tag = kTagFinal,
+                             .payload = std::move(payload)});
+  }
 }
 
 Tensor TensorParallelRuntime::run(Tensor features) {
   const std::size_t k = devices_;
-  const std::size_t n = features.rows();
-  const std::size_t f = features.cols();
   const DeviceId terminal = terminal_id();
-
-  std::vector<DeviceId> everyone(k + 1);
-  std::iota(everyone.begin(), everyone.end(), DeviceId{0});
-  std::vector<DeviceId> workers(k);
-  std::iota(workers.begin(), workers.end(), DeviceId{0});
-
-  const auto layers = model_.layers();
-
-  // Worker threads inherit the request's trace id (see infer()); their
-  // collective spans and flow arrows land on per-device tracks.
-  const std::uint64_t run_trace = obs::thread_trace_id();
-
-  std::vector<std::exception_ptr> errors(k);
-  std::vector<std::thread> threads;
-  threads.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    threads.emplace_back([&, i] {
-      const obs::ThreadTracerScope tracer_scope(tracer_);
-      const obs::ThreadTrackScope track_scope(static_cast<obs::TrackId>(i));
-      const obs::TraceIdScope trace_scope(run_trace);
-      // One shard per core is the parallelism here; keep each shard's
-      // kernels single-threaded so K shards don't oversubscribe the host.
-      const IntraOpScope intra_scope(1);
-      try {
-        const Range heads = head_shard(i);
-        const Range ffn_cols = ffn_shard(i);
-
-        Tensor x(0, 0);
-        broadcast(*transport_, everyone, i, k, x, kTagBroadcast);
-        for (std::size_t l = 0; l < layers.size(); ++l) {
-          // The whole per-layer body is one compute span; the two
-          // all-reduce comm spans nest inside it (critical-path analysis
-          // subtracts nested comm from compute, so nothing double-counts).
-          obs::TraceSpan layer_span(tracer_, "layer", "compute",
-                                    static_cast<obs::TrackId>(i));
-          layer_span.device(static_cast<std::int64_t>(i))
-              .layer(static_cast<std::int64_t>(l));
-          const obs::ThreadLayerScope layer_scope(
-              static_cast<std::int64_t>(l));
-          const LayerConfig& cfg = layers[l].config();
-          const LayerWeights& w = layers[l].weights();
-          const MessageTag tag = kTagLayerBase + l * kTagLayerStride;
-
-          // --- attention: own heads, matching W_O rows, partial sum ------
-          Tensor partial(n, f);
-          if (!heads.empty()) {
-            std::vector<Tensor> outs;
-            outs.reserve(heads.size());
-            for (std::size_t h = heads.begin; h < heads.end; ++h) {
-              outs.push_back(attention_head_full(x, w.attention.heads[h],
-                                                 cfg.head_dim, cfg.causal));
-            }
-            const Tensor wo_rows = w.attention.wo.slice_rows(
-                heads.begin * cfg.head_dim, heads.end * cfg.head_dim);
-            partial = matmul(concat_cols(outs), wo_rows);
-          }
-          Tensor attn =
-              k == 1 ? std::move(partial)
-              : star_allreduce_
-                  ? naive_all_reduce_sum(*transport_, workers, i,
-                                         std::move(partial), tag)
-                  : ring_all_reduce_sum(*transport_, workers, i,
-                                        std::move(partial), tag);
-          // Replicated position-wise tail of the attention block.
-          add_bias_inplace(attn, w.attention.bo);
-          add_inplace(attn, x);
-          const Tensor y = layernorm_rows(attn, w.ln_attention.gamma,
-                                          w.ln_attention.beta);
-
-          // --- FFN: column shard of W1, row shard of W2, partial sum -----
-          Tensor ffn_partial(n, f);
-          if (!ffn_cols.empty()) {
-            Tensor hidden = matmul(
-                y, w.ffn.w1.slice_cols(ffn_cols.begin, ffn_cols.end));
-            add_bias_inplace(hidden,
-                             w.ffn.b1.slice_cols(ffn_cols.begin, ffn_cols.end));
-            hidden = cfg.activation == Activation::kGelu ? gelu(hidden)
-                                                         : relu(hidden);
-            ffn_partial = matmul(
-                hidden, w.ffn.w2.slice_rows(ffn_cols.begin, ffn_cols.end));
-          }
-          Tensor ffn =
-              k == 1 ? std::move(ffn_partial)
-              : star_allreduce_
-                  ? naive_all_reduce_sum(*transport_, workers, i,
-                                         std::move(ffn_partial),
-                                         tag + kTagLayerStride / 2)
-                  : ring_all_reduce_sum(*transport_, workers, i,
-                                        std::move(ffn_partial),
-                                        tag + kTagLayerStride / 2);
-          add_bias_inplace(ffn, w.ffn.b2);
-          add_inplace(ffn, y);
-          x = layernorm_rows(ffn, w.ln_ffn.gamma, w.ln_ffn.beta);
-        }
-        // Everyone holds the full output; the first worker reports it.
-        if (i == 0) {
-          Payload payload = to_bytes(x);
-          obs::TraceSpan span(tracer_, "send_final", "comm",
-                              static_cast<obs::TrackId>(i));
-          span.device(static_cast<std::int64_t>(i))
-              .bytes(static_cast<std::int64_t>(payload.size()));
-          transport_->send(Message{.source = i,
-                               .destination = terminal,
-                               .tag = kTagFinal,
-                               .payload = std::move(payload)});
-        }
-      } catch (...) {
-        errors[i] = std::current_exception();
-        // Poison the fabric so shards blocked in an all-reduce and the
-        // terminal blocked on the final tensor unwind instead of hanging.
-        detail::poison(*transport_, "device " + std::to_string(i), errors[i]);
-      }
-    });
-  }
-
-  const obs::ThreadTracerScope tracer_scope(tracer_);
-  const obs::ThreadTrackScope track_scope(
-      static_cast<obs::TrackId>(terminal));
   Tensor hidden(0, 0);
-  std::exception_ptr terminal_error;
-  try {
-    broadcast(*transport_, everyone, k, k, features, kTagBroadcast);
+  mesh_.call(tracer_, [&] {
+    broadcast(*transport_, mesh_.everyone(), k, k, features, kTagBroadcast);
+    // One shard per core is the parallelism here; each shard's kernels
+    // stay single-threaded so K shards don't oversubscribe the host.
+    mesh_.post(
+        [this](std::size_t i) { device_forward(i); },
+        {.tracer = tracer_, .telemetry = nullptr, .intra_op_threads = 1});
     obs::TraceSpan span(tracer_, "collect_final", "comm",
                         static_cast<obs::TrackId>(terminal));
     span.device(static_cast<std::int64_t>(terminal));
     hidden =
         tensor_from_payload(transport_->recv(terminal, 0, kTagFinal).payload);
-  } catch (...) {
-    terminal_error = std::current_exception();
-    detail::poison(*transport_, "terminal", terminal_error);
-  }
-
-  for (std::thread& t : threads) t.join();
-  detail::rethrow_failure(errors, terminal_error);
+  });
+  mesh_.wait();
   return model_.postprocess(hidden);
 }
 

@@ -15,6 +15,7 @@
 #include "net/transport.h"
 #include "obs/trace.h"
 #include "partition/range.h"
+#include "runtime/mesh.h"
 #include "transformer/model.h"
 
 namespace voltage {
@@ -50,7 +51,10 @@ class TensorParallelRuntime {
   // "layer" compute spans and the ring/star all-reduce comm spans; every
   // run shares one trace id, so the baseline renders causally connected
   // just like VoltageRuntime.
-  void set_tracer(obs::Tracer* tracer);
+  void set_tracer(obs::Tracer* tracer) {
+    tracer_ = tracer;
+    mesh_.name_tracks(tracer, "device");
+  }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
   // Attaches transport.* counters (see Transport::set_metrics).
@@ -60,12 +64,14 @@ class TensorParallelRuntime {
 
  private:
   [[nodiscard]] Tensor run(Tensor features);
+  void device_forward(std::size_t device);
 
   const TransformerModel& model_;
   std::size_t devices_;
   bool star_allreduce_;
   std::unique_ptr<Transport> transport_;
   obs::Tracer* tracer_ = nullptr;  // non-owning; nullptr = tracing off
+  DeviceMesh mesh_;  // after transport_: its threads stop first
 };
 
 }  // namespace voltage

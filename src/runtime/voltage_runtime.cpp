@@ -1,30 +1,16 @@
 #include "runtime/voltage_runtime.h"
 
 #include <array>
-#include <exception>
 #include <memory>
-#include <numeric>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "collective/collectives.h"
-#include "core/thread_pool.h"
 #include "partition/partitioned_layer.h"
-#include "runtime/failure.h"
 #include "tensor/serialize.h"
 
 namespace voltage {
-
-namespace {
-
-// Tag layout: one tag per layer's all-gather, well clear of the
-// broadcast/final tags.
-constexpr MessageTag kTagBroadcast = 1;
-constexpr MessageTag kTagFinal = 2;
-constexpr MessageTag kTagLayerBase = 16;
-
-}  // namespace
 
 VoltageRuntime::VoltageRuntime(const TransformerModel& model,
                                PartitionScheme scheme, OrderPolicy policy,
@@ -46,7 +32,8 @@ VoltageRuntime::VoltageRuntime(const TransformerModel& model,
     : model_(model),
       schedule_(std::move(schedule)),
       policy_(policy),
-      transport_(std::move(transport)) {
+      transport_(std::move(transport)),
+      mesh_(*transport_, schedule_.devices()) {
   if (schedule_.num_layers() != model_.spec().num_layers) {
     throw std::invalid_argument(
         "VoltageRuntime: schedule layer count does not match the model");
@@ -65,246 +52,183 @@ void VoltageRuntime::set_precision(Precision precision) {
   precision_ = precision;
 }
 
-void VoltageRuntime::set_tracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ == nullptr) return;
-  for (std::size_t i = 0; i < schedule_.devices(); ++i) {
-    tracer_->set_track_name(static_cast<obs::TrackId>(i),
-                            "device " + std::to_string(i));
-  }
-  tracer_->set_track_name(static_cast<obs::TrackId>(terminal_id()),
-                          "terminal");
-}
-
 Tensor VoltageRuntime::infer(std::span<const TokenId> tokens) {
-  // Adopt the caller's request trace id (e.g. the server's per-request id)
-  // or mint a fresh one, so every span and wire message of this run — on
-  // all K device threads — carries the same causal id.
-  const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
-  Tensor features(0, 0);
-  {
-    obs::TraceSpan span(tracer_, "embed", "compute",
-                        static_cast<obs::TrackId>(terminal_id()));
-    span.device(static_cast<std::int64_t>(terminal_id()));
-    features = model_.preprocess(tokens);
-  }
-  return run(std::move(features));
+  return run([&] { return model_.preprocess(tokens); });
 }
 
 Tensor VoltageRuntime::infer(const Image& image) {
+  return run([&] { return model_.preprocess(image); });
+}
+
+void prefill_device(const DeviceMesh& mesh, const TransformerModel& model,
+                    const PrefillPlan& plan, std::size_t i) {
+  const auto layers = model.layers();
+  const LayerConfig& config = model.spec().layer;
+  Transport& transport = mesh.transport();
+  const Precision wire = plan.int8 != nullptr ? Precision::kInt8
+                                              : Precision::kFp32;
+  // Algorithm 2, step 3: receive the distributed input features.
+  Tensor x(0, 0);
+  broadcast(transport, mesh.everyone(), i, mesh.devices(), x,
+            kTagPrefillFeatures, plan.options);
+  const std::size_t n = x.rows();
+  // Comm-path buffers, allocated once and reused for every layer: two
+  // full-sequence buffers (gather l writes seq[l%2] while layer l still
+  // reads its input from seq[(l-1)%2]) and two shared partition holders
+  // whose storage outgoing payloads borrow. holders[l%2] is safe to reuse at
+  // layer l+2: completing gather l+1 means every peer finished gather l
+  // first, i.e. consumed the layer-l message, and that consumption
+  // happens-before our reuse via the mailbox mutex chain. The use_count
+  // check below is a defensive fallback (e.g. a slow terminal still holding
+  // the final payload) — it never fires in the steady-state layer loop,
+  // which therefore performs zero heap allocations on the comm path.
+  std::array<Tensor, 2> seq{Tensor(n, x.cols()), Tensor(n, x.cols())};
+  std::array<std::shared_ptr<Tensor>, 2> holders{
+      std::make_shared<Tensor>(0, 0), std::make_shared<Tensor>(0, 0)};
+  const Tensor* input = &x;
+  std::optional<AttentionPrologue> prologue;  // of this layer, if overlapped
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const obs::ThreadLayerScope layer_scope(static_cast<std::int64_t>(l));
+    const Range own = plan.ranges[l][i];
+    if (plan.on_layer) plan.on_layer(l, *input, own);
+    // Step 6: compute the assigned output partition. If the previous
+    // iteration overlapped this layer's attention prologue with its gather,
+    // resume from it — bitwise-identical chains either way.
+    Tensor part(0, 0);
+    {
+      obs::TraceSpan span(obs::thread_tracer(), "layer", "compute",
+                          static_cast<obs::TrackId>(i));
+      if (span.enabled()) {
+        const AttentionDims dims{
+            .n = n, .p = own.size(), .f = config.hidden, .fh = config.head_dim};
+        const char* order = to_string(select_order(plan.policy, dims));
+        span.device(static_cast<std::int64_t>(i))
+            .layer(static_cast<std::int64_t>(l))
+            .tag(plan.int8 != nullptr ? std::string("int8 ") + order
+                                      : std::string(order));
+      }
+      part = plan.int8 != nullptr
+                 ? plan.int8->partition_forward(l, *input, own, plan.policy)
+                 : partitioned_layer_forward(
+                       layers[l], *input, own, plan.policy,
+                       prologue ? &*prologue : nullptr);
+    }
+    prologue.reset();
+    // Park the partition in a shared holder; outgoing messages borrow its
+    // rows instead of serializing them.
+    auto& holder = holders[l % 2];
+    if (holder.use_count() == 1) {
+      *holder = std::move(part);
+    } else {
+      holder = std::make_shared<Tensor>(std::move(part));
+    }
+    if (l + 1 == layers.size()) {
+      // Step 8: the last layer goes straight to the terminal.
+      if (plan.last_row_only && !own.contains(n - 1)) return;
+      Payload payload =
+          plan.last_row_only
+              ? tensor_payload_view(std::make_shared<const Tensor>(
+                    holder->slice_rows(n - 1 - own.begin, n - own.begin)))
+              : tensor_payload_view(holder);
+      obs::TraceSpan span(obs::thread_tracer(), "send_final", "comm",
+                          static_cast<obs::TrackId>(i));
+      span.device(static_cast<std::int64_t>(i))
+          .layer(static_cast<std::int64_t>(l))
+          .bytes(static_cast<std::int64_t>(payload.size() + kWireFrameBytes));
+      transport.send(Message{.source = i,
+                             .destination = mesh.terminal(),
+                             .tag = kTagPrefillFinal,
+                             .payload = std::move(payload)});
+      return;
+    }
+    // Steps 10-13: post the zero-copy gather, overlap the next layer's
+    // Q-chain (which reads only rows this device already owns) with the
+    // in-flight peer rows, then block for the rest. The int8 kernel has no
+    // prologue input, so its gathers overlap nothing.
+    AllGatherInto gather(transport, mesh.workers(), i, holder, plan.ranges[l],
+                         seq[l % 2], kTagPrefillGatherBase + l, plan.options,
+                         wire);
+    const Range next = plan.ranges[l + 1][i];
+    if (plan.int8 == nullptr && !next.empty() && own.begin <= next.begin &&
+        next.end <= own.end) {
+      obs::TraceSpan span(obs::thread_tracer(), "overlap_compute", "compute",
+                          static_cast<obs::TrackId>(i));
+      span.device(static_cast<std::int64_t>(i))
+          .layer(static_cast<std::int64_t>(l + 1));
+      const Tensor xp = holder->slice_rows(next.begin - own.begin,
+                                           next.end - own.begin);
+      prologue = attention_prologue(xp, n, next,
+                                    layers[l + 1].weights().attention, config,
+                                    plan.policy);
+    }
+    gather.wait();
+    input = &seq[l % 2];
+  }
+}
+
+Tensor VoltageRuntime::run(const std::function<Tensor()>& embed) {
+  const std::size_t k = schedule_.devices();
+  const DeviceId terminal = terminal_id();
+  // Adopt the caller's request trace id (e.g. the server's per-request id)
+  // or mint a fresh one, so every span and wire message of this run — on
+  // all K devices — carries the same causal id.
   const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
   Tensor features(0, 0);
   {
     obs::TraceSpan span(tracer_, "embed", "compute",
-                        static_cast<obs::TrackId>(terminal_id()));
-    span.device(static_cast<std::int64_t>(terminal_id()));
-    features = model_.preprocess(image);
+                        static_cast<obs::TrackId>(terminal));
+    span.device(static_cast<std::int64_t>(terminal));
+    features = embed();
   }
-  return run(std::move(features));
-}
-
-Tensor VoltageRuntime::run(Tensor features) {
-  const std::size_t k = schedule_.devices();
   const std::size_t n = features.rows();
-  const std::size_t f = features.cols();
-  const DeviceId terminal = terminal_id();
   // Per-layer position assignments (identical rows when the schedule is
-  // uniform — the paper's default).
-  std::vector<std::vector<Range>> ranges(schedule_.num_layers());
+  // uniform — the paper's default). One absolute deadline covers the whole
+  // request (see set_recv_timeout).
+  PrefillPlan plan{.ranges = std::vector<std::vector<Range>>(
+                       schedule_.num_layers()),
+                   .policy = policy_,
+                   .int8 = precision_ == Precision::kInt8 ? qstack_.get()
+                                                          : nullptr,
+                   .options = RecvOptions::within(recv_timeout_seconds_),
+                   .on_layer = {},
+                   .last_row_only = false};
   for (std::size_t l = 0; l < schedule_.num_layers(); ++l) {
-    ranges[l] = schedule_.scheme_for(l).ranges(n);
-  }
-
-  // Broadcast group: workers + terminal (root).
-  std::vector<DeviceId> everyone(k + 1);
-  std::iota(everyone.begin(), everyone.end(), DeviceId{0});
-  std::vector<DeviceId> workers(k);
-  std::iota(workers.begin(), workers.end(), DeviceId{0});
-
-  const auto layers = model_.layers();
-
-  // Attention dimensions only vary with the partition length, so the
-  // Theorem-2 annotation on each layer span can be derived up front.
-  const LayerConfig& config = model_.spec().layer;
-
-  // One absolute deadline for the whole request (see set_recv_timeout);
-  // default-constructed options wait forever, the pre-failure behavior.
-  const RecvOptions recv_opts = RecvOptions::within(recv_timeout_seconds_);
-
-  // The quantized plane, when selected and no custom kernel overrides it:
-  // int8 layer compute + int8 gather payloads. The fp32 attention prologue
-  // overlap does not apply (the int8 kernel has no prologue input).
-  const bool int8 = precision_ == Precision::kInt8 && !executor_;
-  const Precision wire = int8 ? Precision::kInt8 : Precision::kFp32;
-
-  // Device threads start with an empty ambient trace id; hand them the
-  // request's so their spans and sends are stamped even before the first
-  // receive would have adopted it.
-  const std::uint64_t run_trace = obs::thread_trace_id();
-
-  std::vector<std::exception_ptr> errors(k);
-  std::vector<std::thread> threads;
-  threads.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    threads.emplace_back([&, i] {
-      // Device thread i publishes the tracer and its track so the
-      // collectives and kernels below emit onto the right timeline row, and
-      // pins its kernels' intra-op budget (bitwise-neutral; see gemm.h).
-      const obs::ThreadTracerScope tracer_scope(tracer_);
-      const obs::ThreadTrackScope track_scope(static_cast<obs::TrackId>(i));
-      const obs::TraceIdScope trace_scope(run_trace);
-      const IntraOpScope intra_scope(intra_op_threads_);
-      const obs::Micros busy_start =
-          telemetry_ != nullptr ? obs::now_us() : 0;
-      try {
-        // Algorithm 2, step 3: receive the distributed input features.
-        Tensor x(0, 0);
-        broadcast(*transport_, everyone, i, k, x, kTagBroadcast, recv_opts);
-        // Comm-path buffers, allocated once and reused for every layer:
-        // two full-sequence buffers (gather l writes seq[l%2] while layer l
-        // still reads its input from seq[(l-1)%2]) and two shared partition
-        // holders whose storage outgoing payloads borrow. holders[l%2] is
-        // safe to reuse at layer l+2: completing gather l+1 means every peer
-        // finished gather l first, i.e. consumed the layer-l message, and
-        // that consumption happens-before our reuse via the mailbox mutex
-        // chain. The use_count check below is a defensive fallback (e.g. a
-        // slow terminal still holding the final payload) — it never fires in
-        // the steady-state layer loop, which therefore performs zero heap
-        // allocations on the comm path.
-        std::array<Tensor, 2> seq{Tensor(n, f), Tensor(n, f)};
-        std::array<std::shared_ptr<Tensor>, 2> holders{
-            std::make_shared<Tensor>(0, 0), std::make_shared<Tensor>(0, 0)};
-        const Tensor* input = &x;
-        AttentionPrologue prologue;
-        bool have_prologue = false;
-        for (std::size_t l = 0; l < layers.size(); ++l) {
-          const obs::ThreadLayerScope layer_scope(
-              static_cast<std::int64_t>(l));
-          // Step 6: compute the assigned output partition (Algorithm 1,
-          // or whatever kernel the executor substitutes). If the previous
-          // iteration overlapped this layer's attention prologue with its
-          // gather, resume from it — bitwise-identical chains either way.
-          Tensor part(0, 0);
-          {
-            obs::TraceSpan span(tracer_, "layer", "compute",
-                                static_cast<obs::TrackId>(i));
-            if (span.enabled()) {
-              const AttentionDims dims{.n = n,
-                                       .p = ranges[l][i].size(),
-                                       .f = config.hidden,
-                                       .fh = config.head_dim};
-              span.device(static_cast<std::int64_t>(i))
-                  .layer(static_cast<std::int64_t>(l))
-                  .tag(to_string(select_order(policy_, dims)));
-            }
-            part = executor_ ? executor_(l, *input, ranges[l][i], policy_)
-                 : int8     ? qstack_->partition_forward(l, *input,
-                                                         ranges[l][i], policy_)
-                            : partitioned_layer_forward(
-                                  layers[l], *input, ranges[l][i], policy_,
-                                  have_prologue ? &prologue : nullptr);
-          }
-          have_prologue = false;
-          // Park the partition in a shared holder; outgoing messages borrow
-          // its rows instead of serializing them.
-          auto& holder = holders[l % 2];
-          if (holder.use_count() == 1) {
-            *holder = std::move(part);
-          } else {
-            holder = std::make_shared<Tensor>(std::move(part));
-          }
-          if (l + 1 == layers.size()) {
-            // Step 8: last layer goes straight to the terminal.
-            Payload payload = tensor_payload_view(holder);
-            obs::TraceSpan span(tracer_, "send_final", "comm",
-                                static_cast<obs::TrackId>(i));
-            span.device(static_cast<std::int64_t>(i))
-                .layer(static_cast<std::int64_t>(l))
-                .bytes(static_cast<std::int64_t>(payload.size() +
-                                                 kWireFrameBytes));
-            transport_->send(Message{.source = i,
-                                     .destination = terminal,
-                                     .tag = kTagFinal,
-                                     .payload = std::move(payload)});
-          } else {
-            // Steps 10-13: post the zero-copy gather, overlap the next
-            // layer's Q-chain (which reads only rows this device already
-            // owns) with the in-flight peer rows, then block for the rest.
-            const Range own = ranges[l][i];
-            AllGatherInto gather(*transport_, workers, i, holder, ranges[l],
-                                 seq[l % 2], kTagLayerBase + l, recv_opts,
-                                 wire);
-            const Range next = ranges[l + 1][i];
-            if (overlap_ && !executor_ && !int8 && !next.empty() &&
-                own.begin <= next.begin && next.end <= own.end) {
-              obs::TraceSpan span(tracer_, "overlap_compute", "compute",
-                                  static_cast<obs::TrackId>(i));
-              span.device(static_cast<std::int64_t>(i))
-                  .layer(static_cast<std::int64_t>(l + 1));
-              const Tensor xp = holder->slice_rows(next.begin - own.begin,
-                                                   next.end - own.begin);
-              prologue = attention_prologue(xp, n, next,
-                                            layers[l + 1].weights().attention,
-                                            config, policy_);
-              have_prologue = true;
-            }
-            gather.wait();
-            input = &seq[l % 2];
-          }
-        }
-      } catch (...) {
-        errors[i] = std::current_exception();
-        // Containment: poison the fabric so peers blocked in a collective
-        // and the terminal blocked in recv_any unwind with a descriptive
-        // error instead of deadlocking on a device that will never send.
-        detail::poison(*transport_, "device " + std::to_string(i), errors[i]);
-      }
-      if (telemetry_ != nullptr) {
-        telemetry_->add_device_busy(i, obs::now_us() - busy_start);
-      }
-    });
+    plan.ranges[l] = schedule_.scheme_for(l).ranges(n);
   }
 
   // Terminal role: distribute features, collect final partitions.
-  const obs::ThreadTracerScope tracer_scope(tracer_);
-  const obs::ThreadTrackScope track_scope(
-      static_cast<obs::TrackId>(terminal));
-  Tensor hidden(n, f);
-  std::exception_ptr terminal_error;
-  try {
-    broadcast(*transport_, everyone, k, k, features, kTagBroadcast, recv_opts);
-    {
-      // Final partitions land in arrival order, each deserialized straight
-      // into the assembled hidden buffer at its range's row offset.
-      obs::TraceSpan span(tracer_, "collect_final", "comm",
-                          static_cast<obs::TrackId>(terminal));
-      span.device(static_cast<std::int64_t>(terminal));
-      const std::vector<Range>& final_ranges = ranges.back();
-      std::vector<bool> seen(k, false);
-      for (std::size_t received = 0; received < k; ++received) {
-        const Message m = transport_->recv_any(terminal, kTagFinal, recv_opts);
-        if (m.source >= k || seen[m.source]) {
-          throw std::runtime_error("VoltageRuntime: unexpected final sender");
-        }
-        seen[m.source] = true;
-        const WireShape shape =
-            deserialize_into(m.payload, hidden, final_ranges[m.source].begin);
-        if (shape.rows != final_ranges[m.source].size()) {
-          throw std::runtime_error(
-              "VoltageRuntime: final partition size mismatch");
-        }
+  Tensor hidden(n, features.cols());
+  mesh_.call(tracer_, [&] {
+    broadcast(*transport_, mesh_.everyone(), k, k, features,
+              kTagPrefillFeatures, plan.options);
+    mesh_.post(
+        [&](std::size_t i) { prefill_device(mesh_, model_, plan, i); },
+        {.tracer = tracer_,
+         .telemetry = telemetry_,
+         .intra_op_threads = intra_op_threads_});
+    // Final partitions land in arrival order, each deserialized straight
+    // into the assembled hidden buffer at its range's row offset.
+    obs::TraceSpan span(tracer_, "collect_final", "comm",
+                        static_cast<obs::TrackId>(terminal));
+    span.device(static_cast<std::int64_t>(terminal));
+    const std::vector<Range>& final_ranges = plan.ranges.back();
+    std::vector<bool> seen(k, false);
+    for (std::size_t received = 0; received < k; ++received) {
+      const Message m =
+          transport_->recv_any(terminal, kTagPrefillFinal, plan.options);
+      if (m.source >= k || seen[m.source]) {
+        throw std::runtime_error("VoltageRuntime: unexpected final sender");
+      }
+      seen[m.source] = true;
+      const WireShape shape =
+          deserialize_into(m.payload, hidden, final_ranges[m.source].begin);
+      if (shape.rows != final_ranges[m.source].size()) {
+        throw std::runtime_error(
+            "VoltageRuntime: final partition size mismatch");
       }
     }
-  } catch (...) {
-    // Poison before joining: device threads may still be blocked in a
-    // gather (e.g. when the terminal's deadline fired first) and would
-    // otherwise never let the join below finish.
-    terminal_error = std::current_exception();
-    detail::poison(*transport_, "terminal", terminal_error);
-  }
-
-  for (std::thread& t : threads) t.join();
-  detail::rethrow_failure(errors, terminal_error);
+  });
+  mesh_.wait();
   // Steps 16-17: terminal post-processes into the user-facing result.
   obs::TraceSpan span(tracer_, "postprocess", "compute",
                       static_cast<obs::TrackId>(terminal));

@@ -1,10 +1,10 @@
 // Real (threaded) execution of distributed inference — paper Algorithm 2.
 //
-// Device k = worker thread k; the calling thread acts as the terminal
-// device. All intermediate results travel serialized through the Fabric, so
-// the traffic counters measure true wire volume. Weights are conceptually
-// replicated on every device (the paper's deployment); in-process we share
-// the one read-only model.
+// Device k = device k of the runtime's DeviceMesh; the calling thread acts
+// as the terminal device. All intermediate results travel serialized
+// through the transport, so the traffic counters measure true wire volume.
+// Weights are conceptually replicated on every device (the paper's
+// deployment); in-process we share the one read-only model.
 #pragma once
 
 #include <span>
@@ -20,17 +20,40 @@
 #include "partition/schedule.h"
 #include "partition/scheme.h"
 #include "quant/quantized_stack.h"
+#include "runtime/mesh.h"
 #include "transformer/model.h"
 
 namespace voltage {
 
-// Computes one layer's output partition T_p(x). The default executor runs
-// float Algorithm 1 on the model's weights; alternatives swap the kernel
-// while keeping the distribution protocol (e.g. the INT8 layers from
-// src/quant, or a custom attention variant). Called concurrently from all
-// device threads — must be thread-safe and read-only.
-using PartitionExecutor = std::function<Tensor(
-    std::size_t layer, const Tensor& x, Range p, OrderPolicy policy)>;
+// Tags of the Algorithm-2 prefill, shared by VoltageRuntime and the
+// DistributedDecoder prime (whose commands and merges use other tags).
+inline constexpr MessageTag kTagPrefillFeatures = 2;
+inline constexpr MessageTag kTagPrefillFinal = 4;
+inline constexpr MessageTag kTagPrefillGatherBase = 64;
+
+// One request's Algorithm-2 prefill, as every device runs it.
+struct PrefillPlan {
+  std::vector<std::vector<Range>> ranges;  // [layer][device]
+  OrderPolicy policy = OrderPolicy::kAdaptive;
+  const QuantizedStack* int8 = nullptr;  // set: the int8 plane
+  RecvOptions options;                   // the request's shared deadline
+  // Sees each layer's full input before the device computes its partition
+  // `own` (the decoder banks its rows into the resident caches here).
+  std::function<void(std::size_t layer, const Tensor& input, Range own)>
+      on_layer;
+  // Last layer: every device sends its partition to the terminal, or with
+  // `last_row_only` just the owner of row N-1 sends that row.
+  bool last_row_only = false;
+};
+
+// Device i's part of Algorithm 2 (steps 3-13): receives the broadcast
+// features, then per layer computes its partition (Algorithm 1, or the int8
+// stack), all-gathers it and finally sends to the terminal.
+// While an fp32 gather is in flight the next layer's attention prologue is
+// computed from the rows already owned, whenever the next partition lies
+// inside them — bitwise identical to computing it after the gather.
+void prefill_device(const DeviceMesh& mesh, const TransformerModel& model,
+                    const PrefillPlan& plan, std::size_t i);
 
 class VoltageRuntime {
  public:
@@ -69,19 +92,16 @@ class VoltageRuntime {
     return schedule_;
   }
 
-  // Swaps the per-layer kernel (see PartitionExecutor). Pass {} to restore
-  // the default float Algorithm 1 path.
-  void set_partition_executor(PartitionExecutor executor) {
-    executor_ = std::move(executor);
-  }
-
   // Attaches a span tracer (nullptr detaches — the default). When attached,
   // every run emits per-device per-layer "layer" spans tagged with the
   // attention order Theorem 2 selected, embed/attention/ffn phase spans, and
   // all-gather/broadcast/final-send communication spans with byte counts.
   // When detached, instrumentation is a null-pointer check per site: no
   // clock reads, no allocation, no locking.
-  void set_tracer(obs::Tracer* tracer);
+  void set_tracer(obs::Tracer* tracer) {
+    tracer_ = tracer;
+    mesh_.name_tracks(tracer, "device");
+  }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
 
   // Attaches transport.* counters (see Transport::set_metrics).
@@ -103,16 +123,6 @@ class VoltageRuntime {
     transport_->set_flight_recorder(recorder);
   }
 
-  // Comm/compute overlap (default on): while a layer's all-gather is in
-  // flight, each device computes the next layer's attention prologue from
-  // the rows it already owns (Eq. (8)'s Q-chain depends only on x_p). Off
-  // switches to the plain gather-then-compute schedule — useful for A/B
-  // timing; results are bitwise identical either way. Overlap is skipped
-  // automatically when a custom PartitionExecutor is installed or when the
-  // next layer's partition is not covered by this device's current rows.
-  void set_overlap(bool enabled) noexcept { overlap_ = enabled; }
-  [[nodiscard]] bool overlap() const noexcept { return overlap_; }
-
   // Per-request receive budget in seconds (default 0: wait forever). When
   // set, every blocking receive of a run — broadcast, layer gathers, the
   // terminal's final collect — shares one absolute deadline computed at
@@ -126,19 +136,12 @@ class VoltageRuntime {
     return recv_timeout_seconds_;
   }
 
-  // The installed per-layer kernel (empty = default float path). Exposed so
-  // a serving layer that rebuilds a poisoned runtime can carry it over.
-  [[nodiscard]] const PartitionExecutor& partition_executor() const noexcept {
-    return executor_;
-  }
-
   // Precision::kInt8 moves the hot paths to the quantized plane: layer
   // compute runs the int8 stack (quant/quantized_stack.h) and the per-layer
   // all-gathers ship int8 + per-row scales (net/quant_codec.h), ~4x fewer
   // wire bytes. The feature broadcast and final partition sends stay fp32
-  // (one-time O(NF) cost; the L gathers dominate). Ignored while a custom
-  // PartitionExecutor is installed. Quantizes the model once on first use;
-  // call between requests, like set_recv_timeout.
+  // (one-time O(NF) cost; the L gathers dominate). Quantizes the model once
+  // on first use; call between requests, like set_recv_timeout.
   void set_precision(Precision precision);
   [[nodiscard]] Precision precision() const noexcept { return precision_; }
 
@@ -155,12 +158,12 @@ class VoltageRuntime {
   }
 
  private:
-  [[nodiscard]] Tensor run(Tensor features);
+  // Embeds the request on the terminal, then runs Algorithm 2 on it.
+  [[nodiscard]] Tensor run(const std::function<Tensor()>& embed);
 
   const TransformerModel& model_;
   LayerSchedule schedule_;
   OrderPolicy policy_;
-  PartitionExecutor executor_;  // empty = default float path
   Precision precision_ = Precision::kFp32;
   std::unique_ptr<QuantizedStack> qstack_;  // built by set_precision(kInt8)
   std::unique_ptr<Transport> transport_;
@@ -168,7 +171,7 @@ class VoltageRuntime {
   obs::TelemetryHub* telemetry_ = nullptr;  // non-owning; nullptr = off
   std::size_t intra_op_threads_ = 1;
   double recv_timeout_seconds_ = 0.0;  // <= 0: no deadline
-  bool overlap_ = true;
+  DeviceMesh mesh_;  // after transport_: its threads stop first
 };
 
 }  // namespace voltage

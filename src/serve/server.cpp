@@ -33,6 +33,25 @@ LatencyStats summarize(std::vector<Seconds> samples) {
   return stats;
 }
 
+// Applies the options the runtime and the decoder share.
+template <typename Runtime>
+std::unique_ptr<Runtime> configure(std::unique_ptr<Runtime> runtime,
+                                   const InferenceServer::Options& options) {
+  std::size_t per_device = options.device_intra_op_threads;
+  if (per_device == 0) {
+    per_device = std::max<std::size_t>(
+        1, intra_op_threads() / (options.scheme.devices() + 1));
+  }
+  runtime->set_intra_op_threads(per_device);
+  runtime->set_precision(options.precision);
+  runtime->set_recv_timeout(options.request_deadline);
+  if (options.metrics != nullptr) runtime->set_metrics(options.metrics);
+  runtime->set_tracer(options.tracer);
+  runtime->set_telemetry(options.telemetry);
+  runtime->set_flight_recorder(options.flight_recorder);
+  return runtime;
+}
+
 }  // namespace
 
 InferenceServer::InferenceServer(const TransformerModel& model,
@@ -85,48 +104,28 @@ InferenceServer::InferenceServer(const TransformerModel& model,
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
+std::unique_ptr<Transport> InferenceServer::make_fabric() const {
+  const std::size_t endpoints = options_.scheme.devices() + 1;
+  return options_.transport_factory
+             ? options_.transport_factory(endpoints)
+             : make_transport(options_.transport, endpoints);
+}
+
 std::unique_ptr<VoltageRuntime> InferenceServer::make_runtime() const {
-  auto runtime = std::make_unique<VoltageRuntime>(
-      model_, options_.scheme, options_.policy, options_.transport);
-  std::size_t per_device = options_.device_intra_op_threads;
-  if (per_device == 0) {
-    per_device = std::max<std::size_t>(
-        1, intra_op_threads() / (runtime->terminal_id() + 1));
-  }
-  runtime->set_intra_op_threads(per_device);
-  runtime->set_precision(options_.precision);
-  runtime->set_recv_timeout(options_.request_deadline);
-  runtime->set_tracer(options_.tracer);
-  if (options_.metrics != nullptr) runtime->set_metrics(options_.metrics);
-  runtime->set_telemetry(options_.telemetry);
-  runtime->set_flight_recorder(options_.flight_recorder);
-  return runtime;
+  return configure(
+      std::make_unique<VoltageRuntime>(
+          model_,
+          LayerSchedule::uniform(options_.scheme, model_.spec().num_layers),
+          options_.policy, make_fabric()),
+      options_);
 }
 
 std::unique_ptr<DistributedDecoder> InferenceServer::make_decoder() const {
-  const std::size_t endpoints = options_.scheme.devices() + 1;
-  std::unique_ptr<Transport> fabric =
-      options_.decoder_transport_factory
-          ? options_.decoder_transport_factory(endpoints)
-          : make_transport(options_.transport, endpoints);
-  auto decoder = std::make_unique<DistributedDecoder>(
-      model_, options_.scheme, options_.policy, std::move(fabric));
-  std::size_t per_device = options_.device_intra_op_threads;
-  if (per_device == 0) {
-    per_device = std::max<std::size_t>(
-        1, intra_op_threads() / (decoder->terminal_id() + 1));
-  }
-  decoder->set_intra_op_threads(per_device);
-  decoder->set_precision(options_.precision);
-  decoder->set_recv_timeout(options_.request_deadline);
+  auto decoder =
+      configure(std::make_unique<DistributedDecoder>(
+                    model_, options_.scheme, options_.policy, make_fabric()),
+                options_);
   decoder->set_kv_block_limit(options_.kv_block_limit);
-  // Metrics before tracer: set_tracer broadcasts the refresh handshake, and
-  // its bytes must land on the transport counters the spans are checked
-  // against.
-  if (options_.metrics != nullptr) decoder->set_metrics(options_.metrics);
-  decoder->set_tracer(options_.tracer);
-  decoder->set_telemetry(options_.telemetry);
-  decoder->set_flight_recorder(options_.flight_recorder);
   return decoder;
 }
 
@@ -135,12 +134,7 @@ void InferenceServer::rebuild_runtime_if_poisoned() {
   // A poisoned transport never recovers (that is what makes poisoning a
   // sound unblocking primitive), so the dispatcher swaps in a fresh runtime
   // rather than failing every later request with the stale close reason.
-  // The installed partition executor survives the swap — only the mesh is
-  // replaced, not the kernel.
-  PartitionExecutor executor = runtime_->partition_executor();
-  std::unique_ptr<VoltageRuntime> fresh = make_runtime();
-  fresh->set_partition_executor(std::move(executor));
-  runtime_ = std::move(fresh);
+  runtime_ = make_runtime();
   {
     const std::lock_guard lock(mutex_);
     runtime_rebuilds_ += 1;

@@ -140,12 +140,13 @@ class InferenceServer {
     // landing. Unset (default) = plain single-token stepping.
     std::function<std::unique_ptr<Drafter>()> drafter_factory = {};
     std::size_t max_draft_tokens = 4;
-    // Test hook: builds the decoder's transport (devices = K workers + the
-    // terminal) instead of make_transport(transport, ...) — the way to
-    // inject a ChaosTransport underneath a serving batch. Called once per
+    // Test hook: builds the runtime's and the decoder's transports
+    // (devices = K workers + the terminal) instead of
+    // make_transport(transport, ...) — the way to inject a ChaosTransport
+    // underneath a request or a serving batch. Called once per runtime or
     // decoder build, including rebuilds after a mesh failure.
     std::function<std::unique_ptr<Transport>(std::size_t devices)>
-        decoder_transport_factory = {};
+        transport_factory = {};
     // Optional observability sinks (all non-owning; nullptr = off).
     obs::Tracer* tracer = nullptr;
     obs::MetricsRegistry* metrics = nullptr;
@@ -255,6 +256,7 @@ class InferenceServer {
   void fail_batch(std::vector<ActiveRequest>& batch, std::exception_ptr error);
   void telemetry_loop();
   void export_telemetry();
+  [[nodiscard]] std::unique_ptr<Transport> make_fabric() const;
   [[nodiscard]] std::unique_ptr<VoltageRuntime> make_runtime() const;
   [[nodiscard]] std::unique_ptr<DistributedDecoder> make_decoder() const;
   void rebuild_runtime_if_poisoned();

@@ -403,7 +403,7 @@ TEST(ServerBatching, MeshCrashFailsInFlightBatchAndRecovers) {
                                 .policy = OrderPolicy::kAdaptive,
                                 .transport = TransportKind::kInMemory,
                                 .max_batch = 4};
-  opts.decoder_transport_factory = [](std::size_t devices) {
+  opts.transport_factory = [](std::size_t devices) {
     return std::unique_ptr<Transport>(new ChaosTransport(
         make_transport(TransportKind::kInMemory, devices),
         ChaosOptions{

@@ -145,32 +145,41 @@ INSTANTIATE_TEST_SUITE_P(AllTransports, FailureTransportParam,
 
 class FailureRuntimeParam : public ::testing::TestWithParam<TransportKind> {};
 
+// A transport of `devices` endpoints of the parameter's kind on which
+// `device` goes dark after `after_sends` sends.
+std::unique_ptr<Transport> crashing(TransportKind kind, std::size_t devices,
+                                    DeviceId device,
+                                    std::uint64_t after_sends,
+                                    std::uint64_t seed) {
+  return std::make_unique<ChaosTransport>(
+      make_transport(kind, devices),
+      ChaosOptions{.max_delay_seconds = 1e-4,
+                   .seed = seed,
+                   .crash = ChaosOptions::Crash{.device = device,
+                                                .after_sends = after_sends}});
+}
+
 TEST_P(FailureRuntimeParam, ThrowingDeviceFailsInferDescriptively) {
-  // The original deadlock: one device thread throws mid-layer while its
-  // peers block in the layer all-gather and the terminal blocks collecting
-  // the final partitions. Poisoning must unwedge everyone, and the caller
-  // must see the *root cause*, not a secondary "transport closed" error.
+  // The original deadlock: one device fails mid-protocol while its peers
+  // block in the layer all-gather and the terminal blocks collecting the
+  // final partitions. Poisoning must unwedge everyone, and the caller must
+  // see the root cause — naming the seed that replays it.
   const TransformerModel model = make_model(mini_bert_spec());
-  VoltageRuntime runtime(model, PartitionScheme::even(3),
-                         OrderPolicy::kAdaptive, GetParam());
-  runtime.set_partition_executor(
-      [](std::size_t layer, const Tensor& x, Range p, OrderPolicy) -> Tensor {
-        if (layer == 1 && p.begin == 0) {
-          throw std::runtime_error("injected executor fault");
-        }
-        // Stand-in kernel: shape-correct output keeps the healthy devices
-        // marching deep into the protocol before the fault lands.
-        return Tensor(p.size(), x.cols());
-      });
+  VoltageRuntime runtime(
+      model,
+      LayerSchedule::uniform(PartitionScheme::even(3),
+                             model.spec().num_layers),
+      OrderPolicy::kAdaptive,
+      crashing(GetParam(), 4, /*device=*/0, /*after_sends=*/3, /*seed=*/41));
   const auto tokens = random_tokens(12, model.spec().vocab_size, 3);
   const auto start = Clock::now();
   try {
     (void)runtime.infer(tokens);
     FAIL() << "infer over a failing device must throw";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("injected executor fault"),
-              std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("device 0 crashed"), std::string::npos) << what;
+    EXPECT_NE(what.find("seed=41"), std::string::npos) << what;
   }
   EXPECT_LT(seconds_since(start), 60.0);
   EXPECT_TRUE(runtime.fabric().closed());
@@ -182,13 +191,20 @@ TEST_P(FailureRuntimeParam, FreshRuntimeStillInfersAfterFailureElsewhere) {
   const TransformerModel model = make_model(mini_bert_spec());
   const auto tokens = random_tokens(10, model.spec().vocab_size, 5);
   {
-    VoltageRuntime doomed(model, PartitionScheme::even(2),
-                          OrderPolicy::kAdaptive, GetParam());
-    doomed.set_partition_executor(
-        [](std::size_t, const Tensor&, Range, OrderPolicy) -> Tensor {
-          throw std::runtime_error("dead on arrival");
-        });
-    EXPECT_THROW((void)doomed.infer(tokens), std::runtime_error);
+    VoltageRuntime doomed(
+        model,
+        LayerSchedule::uniform(PartitionScheme::even(2),
+                               model.spec().num_layers),
+        OrderPolicy::kAdaptive,
+        crashing(GetParam(), 3, /*device=*/1, /*after_sends=*/0,
+                 /*seed=*/42));
+    try {
+      (void)doomed.infer(tokens);
+      FAIL() << "infer over a dead device must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("seed=42"), std::string::npos)
+          << e.what();
+    }
   }
   VoltageRuntime healthy(model, PartitionScheme::even(2),
                          OrderPolicy::kAdaptive, GetParam());

@@ -419,6 +419,34 @@ TEST(InstrumentedRuntime, QuantizedTraceReportsEncodedAndRawBytes) {
   EXPECT_TRUE(saw_gather);
 }
 
+TEST(TraceReport, GemmCountsOnlyInsideItsLayerSpan) {
+  // A prefill "layer" span and a later decode-step GEMM at the same
+  // (layer, device): the decode GEMM carries the layer but lies outside
+  // every layer span, so it must not inflate that row's gemm_us past its
+  // compute_us.
+  obs::LoadedTrace trace;
+  const auto add = [&](const char* name, const char* category,
+                       obs::Micros start, obs::Micros dur) {
+    obs::TraceEvent e;
+    e.name = name;
+    e.category = category;
+    e.track = 0;
+    e.start_us = start;
+    e.duration_us = dur;
+    e.device = 0;
+    e.layer = 0;
+    trace.events.push_back(std::move(e));
+  };
+  add("gemm", "kernel", 10, 5);    // starts with its layer span
+  add("gemm", "kernel", 20, 10);   // nested
+  add("layer", "compute", 10, 40);  // prefill layer 0: [10, 50)
+  add("gemm", "kernel", 100, 30);  // decode step, same layer and device
+  const obs::TraceReport report = obs::build_report(trace);
+  ASSERT_EQ(report.layers.size(), 1U);
+  EXPECT_EQ(report.layers[0].compute_us, 40);
+  EXPECT_EQ(report.layers[0].gemm_us, 15);
+}
+
 // --- trace context + flow propagation -----------------------------------
 
 TEST(TraceContext, FabricStampsPropagatesAndClosesTheFlow) {
@@ -487,7 +515,7 @@ TEST(TraceContext, UntracedSendsEmitNoFlowEvents) {
   });
   {
     // No TraceIdScope: the message travels with trace_id 0 and must not
-    // open an arrow nobody can close (e.g. the shutdown broadcast).
+    // open an arrow nobody can close.
     const obs::ThreadTracerScope scope(&tracer);
     fabric.send(Message{.source = 0,
                         .destination = 1,
@@ -697,10 +725,9 @@ TEST(CriticalPath, DistributedDecoderStepsDecomposeAcrossFourDevices) {
 }
 
 // The byte-exactness invariant (Σ comm-span bytes == transport bytes sent)
-// must survive the set_tracer refresh handshake and the shutdown broadcast:
-// both are flow-free but still put bytes on the wire, so both must emit
-// byte-annotated comm spans. The metrics counter outlives the decoder, so
-// the comparison can include teardown traffic.
+// must hold from attach through teardown: every message the decoder puts
+// on the wire is emitted as a byte-annotated comm span. The metrics counter
+// outlives the decoder, so the comparison includes teardown traffic.
 TEST(InstrumentedDecoder, CommSpanBytesStayExactThroughAttachAndShutdown) {
   const TransformerModel model = make_model(mini_gpt2_spec());
   obs::Tracer tracer;
@@ -708,7 +735,7 @@ TEST(InstrumentedDecoder, CommSpanBytesStayExactThroughAttachAndShutdown) {
   {
     DistributedDecoder decoder(model, PartitionScheme::even(2));
     decoder.set_metrics(&metrics);
-    decoder.set_tracer(&tracer);  // handshake broadcast lands on the trace
+    decoder.set_tracer(&tracer);
     const auto prompt = random_tokens(8, model.spec().vocab_size, 3);
     Tensor logits = decoder.prime(std::span<const TokenId>(prompt));
     (void)decoder.step(static_cast<TokenId>(argmax_row(logits, 0)));

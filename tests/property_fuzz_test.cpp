@@ -3,7 +3,9 @@
 // instance derives everything deterministically from its seed, so failures
 // reproduce exactly.
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "quant/quantized_tensor.h"
 #include "partition/partitioned_layer.h"
 #include "partition/scheme.h"
+#include "runtime/distributed_decoder.h"
 #include "runtime/voltage_runtime.h"
 #include "sim/netsim.h"
 #include "tensor/archive.h"
@@ -219,6 +222,91 @@ TEST_P(Fuzz, ArchiveRoundTripsRandomContents) {
   for (const auto& [name, tensor] : archive.entries()) {
     EXPECT_EQ(loaded.get(name), tensor);
   }
+}
+
+TEST_P(Fuzz, DecodeCommandParserRejectsHostileControls) {
+  // Workers act on a decoder command only through parse_decode_command:
+  // NaN, negative, fractional or huge control values must throw rather
+  // than reach a cast, a slot allocation or the owner computation.
+  constexpr std::size_t kMaxPositions = 64;
+  std::vector<std::size_t> prompt_lens(1 + rng_.next_below(4));
+  for (std::size_t& len : prompt_lens) {
+    len = rng_.next_below(2) == 0 ? 0 : 1 + rng_.next_below(32);
+  }
+  prompt_lens[0] = 1 + rng_.next_below(32);  // at least one live slot
+  const auto lens = std::span<const std::size_t>(prompt_lens);
+  const auto row = [](Tensor& cmd, std::size_t r, float op, float arg,
+                      float slot, float token) {
+    const std::array<float, 7> cols{op, arg, 0.0F, 0.5F, slot, token, 1.0F};
+    std::copy(cols.begin(), cols.end(), cmd.row(r).data());
+  };
+  // One valid command of each kind: prime into a new slot, a step window
+  // on slot 0, release of slot 0.
+  std::vector<Tensor> commands;
+  commands.emplace_back(1, 7);
+  row(commands.back(), 0, 1.0F, 1.0F + static_cast<float>(rng_.next_below(64)),
+      static_cast<float>(prompt_lens.size()), 0.0F);
+  const std::size_t window = 1 + rng_.next_below(4);
+  commands.emplace_back(window, 7);
+  for (std::size_t r = 0; r < window; ++r) {
+    row(commands.back(), r, 2.0F, static_cast<float>(prompt_lens[0] + r), 0.0F,
+        static_cast<float>(rng_.next_below(1000)));
+  }
+  commands.emplace_back(1, 7);
+  row(commands.back(), 0, 5.0F, 0.0F, 0.0F, 0.0F);
+
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::array<float, 6> hostile{kNan, -1.0F, kInf, -kInf, 1e30F, 0.5F};
+  for (const Tensor& valid : commands) {
+    ASSERT_NO_THROW((void)parse_decode_command(valid, lens, kMaxPositions));
+    // Every named attack on every control cell throws.
+    for (std::size_t r = 0; r < valid.rows(); ++r) {
+      for (std::size_t c = 0; c < 7; ++c) {
+        for (const float value : hostile) {
+          if (c == 3 && value == 0.5F) continue;  // a fractional deadline
+          Tensor bad = valid;
+          bad(r, c) = value;
+          EXPECT_THROW((void)parse_decode_command(bad, lens, kMaxPositions),
+                       std::runtime_error)
+              << "row " << r << " col " << c << " value " << value;
+        }
+      }
+    }
+    // Random integral corruptions either throw or decode in range.
+    for (int trial = 0; trial < 64; ++trial) {
+      Tensor bad = valid;
+      const std::uint64_t bound = std::uint64_t{1} << (1 + trial % 40);
+      bad(rng_.next_below(bad.rows()), rng_.next_below(7)) =
+          static_cast<float>(rng_.next_below(bound));
+      try {
+        const DecodeCommand cmd =
+            parse_decode_command(bad, lens, kMaxPositions);
+        for (const DecodeCommand::Row& r : cmd.rows) {
+          EXPECT_LE(r.slot, prompt_lens.size());
+          if (cmd.op == DecodeCommand::Op::kStep) {
+            ASSERT_LT(r.slot, prompt_lens.size());
+            EXPECT_GE(r.position, prompt_lens[r.slot]);
+            EXPECT_LT(r.position, kMaxPositions);
+          }
+        }
+        if (cmd.op == DecodeCommand::Op::kPrime) {
+          EXPECT_GE(cmd.prompt_len, 1U);
+          EXPECT_LE(cmd.prompt_len, kMaxPositions);
+        }
+      } catch (const std::runtime_error&) {
+      }
+    }
+  }
+  // The slot-allocation and underflow attacks, named.
+  Tensor far_prime = commands[0];
+  far_prime(0, 4) = static_cast<float>(prompt_lens.size() + 1);
+  EXPECT_THROW((void)parse_decode_command(far_prime, lens, kMaxPositions),
+               std::runtime_error);
+  Tensor early_step = commands[1];
+  early_step(0, 1) = static_cast<float>(prompt_lens[0] - 1);
+  EXPECT_THROW((void)parse_decode_command(early_step, lens, kMaxPositions),
+               std::runtime_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz,

@@ -21,7 +21,6 @@
 #include "net/fabric.h"
 #include "net/quant_codec.h"
 #include "partition/decode_attention.h"
-#include "partition/partitioned_layer.h"
 #include "quant/quantized_layer.h"
 #include "quant/quantized_stack.h"
 #include "quant/quantized_tensor.h"
@@ -250,10 +249,7 @@ TEST(QuantizedStack, DistributedExecutorMatchesQuantizedSingleDevice) {
 
   VoltageRuntime runtime(model, PartitionScheme::even(4),
                          OrderPolicy::kAlwaysNaive);
-  runtime.set_partition_executor([&stack](std::size_t layer, const Tensor& x,
-                                          Range p, OrderPolicy policy) {
-    return stack.partition_forward(layer, x, p, policy);
-  });
+  runtime.set_precision(Precision::kInt8);
   const Tensor distributed = runtime.infer(tokens);
 
   Tensor x = model.preprocess(tokens);
@@ -263,20 +259,6 @@ TEST(QuantizedStack, DistributedExecutorMatchesQuantizedSingleDevice) {
   }
   const Tensor single = model.postprocess(x);
   EXPECT_TRUE(allclose(distributed, single, 2e-3F));
-}
-
-TEST(QuantizedStack, ExecutorResetRestoresFloatPath) {
-  const TransformerModel model = make_model(mini_gpt2_spec());
-  const QuantizedStack stack(model);
-  const auto tokens = random_tokens(12, model.spec().vocab_size, 52);
-  VoltageRuntime runtime(model, PartitionScheme::even(2));
-  runtime.set_partition_executor([&stack](std::size_t layer, const Tensor& x,
-                                          Range p, OrderPolicy policy) {
-    return stack.partition_forward(layer, x, p, policy);
-  });
-  (void)runtime.infer(tokens);
-  runtime.set_partition_executor({});
-  EXPECT_TRUE(allclose(runtime.infer(tokens), model.infer(tokens), 2e-3F));
 }
 
 TEST(QuantizedStack, LayerIndexValidated) {
@@ -602,24 +584,6 @@ TEST(QuantizedRuntime, Int8PrecisionTracksFp32AndCutsGatherBytes) {
   // Restoring fp32 restores the exact float path.
   int8.set_precision(Precision::kFp32);
   EXPECT_TRUE(allclose(int8.infer(tokens), fp32.infer(tokens), 1e-6F));
-}
-
-TEST(QuantizedRuntime, CustomExecutorOverridesPrecision) {
-  // An installed PartitionExecutor wins over set_precision — the int8 plane
-  // must not hijack a caller-supplied kernel.
-  const TransformerModel model = make_model(mini_bert_spec());
-  const auto tokens = random_tokens(12, model.spec().vocab_size, 62);
-  VoltageRuntime runtime(model, PartitionScheme::even(2),
-                         OrderPolicy::kAlwaysNaive);
-  runtime.set_precision(Precision::kInt8);
-  runtime.set_partition_executor(
-      [&model](std::size_t layer, const Tensor& x, Range p,
-               OrderPolicy policy) {
-        return partitioned_layer_forward(model.layers()[layer], x, p, policy);
-      });
-  // Executor = exact float kernels, and the gathers stay fp32 too: the run
-  // must be bitwise-exact against single-device float inference.
-  EXPECT_TRUE(allclose(runtime.infer(tokens), model.infer(tokens), 1e-6F));
 }
 
 TEST(QuantizedDecoder, TopOneTokensMatchFp32DecodeAndPrefillBytesShrink) {

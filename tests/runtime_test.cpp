@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "collective/cost.h"
+#include "partition/partitioned_layer.h"
 #include "runtime/tensor_parallel_runtime.h"
 #include "runtime/voltage_runtime.h"
 #include "tensor/serialize.h"
@@ -57,24 +58,32 @@ TEST(VoltageRuntime, FixedOrderPoliciesAgree) {
 }
 
 TEST(VoltageRuntime, OverlapIsBitwiseInvariant) {
-  // The gather/compute overlap reorders scheduling only, never FP summation:
-  // with overlap on or off, at any K and under both fixed order policies,
-  // distributed output must be bit-for-bit the same.
+  // The runtime overlaps each layer's all-gather with the next layer's
+  // attention prologue. Resuming a partition from that prologue reorders
+  // scheduling only, never FP summation: for every partition at any K and
+  // under both fixed order policies, the layer output is bit-for-bit the
+  // same as computing it without one.
   const TransformerModel model = make_model(mini_bert_spec());
-  const auto tokens = random_tokens(27, model.spec().vocab_size, 31);
+  const Tensor x =
+      model.preprocess(random_tokens(27, model.spec().vocab_size, 31));
+  const TransformerLayer& layer = model.layers()[1];
   for (const auto policy :
        {OrderPolicy::kAlwaysNaive, OrderPolicy::kAlwaysReordered}) {
     for (const std::size_t k : {2U, 3U}) {
-      VoltageRuntime with_overlap(model, PartitionScheme::even(k), policy);
-      VoltageRuntime without(model, PartitionScheme::even(k), policy);
-      without.set_overlap(false);
-      const Tensor a = with_overlap.infer(tokens);
-      const Tensor b = without.infer(tokens);
-      ASSERT_EQ(a.rows(), b.rows());
-      ASSERT_EQ(a.cols(), b.cols());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a.flat()[i], b.flat()[i])
-            << "k=" << k << " element " << i;
+      for (const Range p : PartitionScheme::even(k).ranges(x.rows())) {
+        const AttentionPrologue prologue =
+            attention_prologue(x.slice_rows(p.begin, p.end), x.rows(), p,
+                               layer.weights().attention, layer.config(),
+                               policy);
+        const Tensor a =
+            partitioned_layer_forward(layer, x, p, policy, &prologue);
+        const Tensor b = partitioned_layer_forward(layer, x, p, policy);
+        ASSERT_EQ(a.rows(), b.rows());
+        ASSERT_EQ(a.cols(), b.cols());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a.flat()[i], b.flat()[i])
+              << "k=" << k << " rows " << p.begin << " element " << i;
+        }
       }
     }
   }

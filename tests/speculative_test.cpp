@@ -474,8 +474,8 @@ TEST(SpeculativeWire, AcceptedDraftsCutRoundTripsPerCommittedToken) {
 }
 
 TEST(SpeculativeObs, StepSpansCarryDraftAndAcceptanceCounts) {
-  // The tracer must outlive the decoder (worker wait spans close at
-  // shutdown).
+  // The tracer outlives the decoder: device jobs may still be writing
+  // spans after step_speculative returns, until the decoder drains them.
   obs::Tracer tracer;
   const TransformerModel model = make_model(mini_gpt2_spec());
   const auto prompt = random_tokens(8, model.spec().vocab_size, 55);
