@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace voltage {
@@ -162,6 +163,109 @@ void DecodeLayerCache::truncate(std::size_t n) {
   }
 }
 
+namespace {
+
+// The decode kernel over R command rows. The query-side projections are
+// cache-independent, so the constructor runs one [R x .] GEMM per head for
+// every row; attend() then reduces one row against one cache.
+class PartialKernel {
+ public:
+  PartialKernel(const Tensor& x_rows, const AttentionWeights& w,
+                const LayerConfig& config, bool any_reordered)
+      : w_(w),
+        heads_(config.heads),
+        fh_(config.head_dim),
+        f_(config.hidden),
+        inv_sqrt_(1.0F / std::sqrt(static_cast<float>(config.head_dim))),
+        reordered_row_(x_rows.rows(), false) {
+    q_.reserve(heads_);
+    for (std::size_t h = 0; h < heads_; ++h) {
+      q_.push_back(matmul(x_rows, w.heads[h].wq));
+      if (any_reordered) {
+        qk_.push_back(matmul(q_[h], w.heads[h].wk, Trans::kNo, Trans::kYes));
+        xsum_.emplace_back(x_rows.rows(), f_);
+      }
+    }
+  }
+
+  // Row j's per-head partials over every resident position of `cache`,
+  // written into packed row j (left the merge identity when it holds none).
+  void attend(std::size_t j, const DecodeLayerCache& cache, Tensor& packed) {
+    const std::size_t p = cache.rows();
+    if (p == 0) return;
+    // Eq. (3) rows score head h's resident K columns and sum its V columns:
+    // scores = (x W_Q) K^T / sqrt(F_H). Eq. (8) rows score and sum the raw
+    // x rows: scores = ((x W_Q) W_K^T) x_c^T, and W_V applies to the
+    // weighted-x sum in finish().
+    const bool naive = cache.resident() == AttentionOrder::kNaive;
+    const std::size_t width = naive ? fh_ : f_;
+    weights_.resize(p);
+    for (std::size_t h = 0; h < heads_; ++h) {
+      float* const out = packed.row(j).data() + h * (fh_ + 2);
+      const float* const query =
+          naive ? q_[h].row(j).data() : qk_[h].row(j).data();
+      const std::size_t key_col = naive ? h * fh_ : 0;
+      const std::size_t value_col = naive ? (heads_ + h) * fh_ : 0;
+      float* const sum = naive ? out + 2 : xsum_[h].row(j).data();
+      // Scores: one transposed GEMV per page, one output per resident row.
+      std::fill(weights_.begin(), weights_.end(), 0.0F);
+      cache.for_each_page(
+          [&](const float* rows, std::size_t first, std::size_t count) {
+            detail::gemv(query, rows + key_col, cache.stride(), true,
+                         weights_.data() + first, width, count);
+          });
+      float m = kNegInf;
+      for (float& s : weights_) {
+        s *= inv_sqrt_;
+        m = std::max(m, s);
+      }
+      float denom = 0.0F;
+      for (float& s : weights_) {
+        s = std::exp(s - m);
+        denom += s;
+      }
+      // Weighted sum: one plain GEMV per page of its exp weights; pages run
+      // oldest first, so every column sums in increasing position order.
+      cache.for_each_page(
+          [&](const float* rows, std::size_t first, std::size_t count) {
+            detail::gemv(weights_.data() + first, rows + value_col,
+                         cache.stride(), false, sum, count, width);
+          });
+      out[0] = m;
+      out[1] = denom;
+    }
+    if (!naive) reordered_row_[j] = true;
+  }
+
+  // Applies W_V to the reordered rows' weighted-x sums, one [R x F] GEMM
+  // per head: linearity lets it commute with the row loop (and with the
+  // cross-device merge, keeping every partial F_H wide on the wire).
+  void finish(Tensor& packed) const {
+    for (std::size_t h = 0; h < xsum_.size(); ++h) {
+      const Tensor o = matmul(xsum_[h], w_.heads[h].wv);  // R x F_H
+      for (std::size_t j = 0; j < o.rows(); ++j) {
+        if (!reordered_row_[j]) continue;
+        std::copy_n(o.row(j).data(), fh_,
+                    packed.row(j).data() + h * (fh_ + 2) + 2);
+      }
+    }
+  }
+
+ private:
+  const AttentionWeights& w_;
+  std::size_t heads_;
+  std::size_t fh_;
+  std::size_t f_;
+  float inv_sqrt_;
+  std::vector<Tensor> q_;     // R x F_H per head
+  std::vector<Tensor> qk_;    // R x F per head (reordered windows only)
+  std::vector<Tensor> xsum_;  // R x F per head (reordered windows only)
+  std::vector<bool> reordered_row_;
+  std::vector<float> weights_;  // one row's scores, then its exp weights
+};
+
+}  // namespace
+
 Tensor decode_partial_attention(const Tensor& x_row,
                                 const DecodeLayerCache& cache,
                                 const AttentionWeights& w,
@@ -169,96 +273,12 @@ Tensor decode_partial_attention(const Tensor& x_row,
   if (x_row.rows() != 1 || x_row.cols() != config.hidden) {
     throw std::invalid_argument("decode_partial_attention: need one F-row");
   }
-  const std::size_t heads = config.heads;
-  const std::size_t fh = config.head_dim;
-  const float inv_sqrt = 1.0F / std::sqrt(static_cast<float>(fh));
-  Tensor packed = softmax_partial_identity(1, heads, fh);
-  const std::size_t p = cache.rows_;
-  if (p == 0) return packed;
-
-  // Scratch reused across heads: scores over the cached positions, and the
-  // reordered path's weighted-x accumulator.
-  std::vector<float> scores(p);
-  std::vector<float> xsum;
-
-  for (std::size_t h = 0; h < heads; ++h) {
-    float* const out = packed.row(0).data() + h * (fh + 2);
-    if (cache.resident_ == AttentionOrder::kNaive) {
-      // Eq. (3) from the resident K/V: scores = (x W_Q) K^T / sqrt(F_H).
-      // Rows resolve through the page table; the per-position float order
-      // is identical to contiguous storage, so results stay bitwise equal.
-      const Tensor q = matmul(x_row, w.heads[h].wq);  // 1 x F_H
-      const float* qd = q.data();
-      for (std::size_t j = 0; j < p; ++j) {
-        float dot = 0.0F;
-        const float* kr = cache.position_row(j) + h * fh;
-        for (std::size_t c = 0; c < fh; ++c) dot += qd[c] * kr[c];
-        scores[j] = dot * inv_sqrt;
-      }
-      float m = kNegInf;
-      for (std::size_t j = 0; j < p; ++j) m = std::max(m, scores[j]);
-      float denom = 0.0F;
-      for (std::size_t j = 0; j < p; ++j) {
-        const float e = std::exp(scores[j] - m);
-        denom += e;
-        const float* vr = cache.position_row(j) + (heads + h) * fh;
-        for (std::size_t c = 0; c < fh; ++c) out[2 + c] += e * vr[c];
-      }
-      out[0] = m;
-      out[1] = denom;
-    } else {
-      // Eq. (8) from the resident raw rows: scores = ((x W_Q) W_K^T) x_c^T,
-      // weighted value = (sum_j e_j x_j) W_V — W_V commutes with the merge
-      // sum by linearity, so the partial stays F_H wide on the wire.
-      const Tensor qk =
-          matmul(matmul(x_row, w.heads[h].wq), w.heads[h].wk, Trans::kNo,
-                 Trans::kYes);  // 1 x F
-      const float* qd = qk.data();
-      const std::size_t f = cache.hidden_;
-      for (std::size_t j = 0; j < p; ++j) {
-        float dot = 0.0F;
-        const float* xr = cache.position_row(j);
-        for (std::size_t c = 0; c < f; ++c) dot += qd[c] * xr[c];
-        scores[j] = dot * inv_sqrt;
-      }
-      float m = kNegInf;
-      for (std::size_t j = 0; j < p; ++j) m = std::max(m, scores[j]);
-      float denom = 0.0F;
-      xsum.assign(f, 0.0F);
-      for (std::size_t j = 0; j < p; ++j) {
-        const float e = std::exp(scores[j] - m);
-        denom += e;
-        const float* xr = cache.position_row(j);
-        for (std::size_t c = 0; c < f; ++c) xsum[c] += e * xr[c];
-      }
-      const Tensor weighted(1, f, std::vector<float>(xsum));
-      const Tensor o = matmul(weighted, w.heads[h].wv);  // 1 x F_H
-      for (std::size_t c = 0; c < fh; ++c) out[2 + c] = o(0, c);
-      out[0] = m;
-      out[1] = denom;
-    }
-  }
+  Tensor packed = softmax_partial_identity(1, config.heads, config.head_dim);
+  PartialKernel kernel(x_row, w, config,
+                       cache.resident() == AttentionOrder::kReordered);
+  kernel.attend(0, cache, packed);
+  kernel.finish(packed);
   return packed;
-}
-
-Tensor decode_window_partial_attention(const Tensor& x_rows,
-                                       const std::vector<bool>& owned,
-                                       DecodeLayerCache& cache,
-                                       const AttentionWeights& w,
-                                       const LayerConfig& config) {
-  const std::size_t window = x_rows.rows();
-  if (window == 0 || x_rows.cols() != config.hidden) {
-    throw std::invalid_argument(
-        "decode_window_partial_attention: need [W x F] rows");
-  }
-  if (owned.size() != window) {
-    throw std::invalid_argument(
-        "decode_window_partial_attention: owned mask / window mismatch");
-  }
-  const DecodeWindowRef win{
-      .begin = 0, .end = window, .owned = &owned, .cache = &cache};
-  return decode_windows_partial_attention(
-      x_rows, std::span<const DecodeWindowRef>(&win, 1), w, config);
 }
 
 Tensor decode_windows_partial_attention(const Tensor& x_rows,
@@ -279,106 +299,20 @@ Tensor decode_windows_partial_attention(const Tensor& x_rows,
     }
     any_reordered |= win.cache->resident() == AttentionOrder::kReordered;
   }
-  const std::size_t heads = config.heads;
-  const std::size_t fh = config.head_dim;
-  const std::size_t f = config.hidden;
-  const float inv_sqrt = 1.0F / std::sqrt(static_cast<float>(fh));
-  Tensor packed = softmax_partial_identity(rows, heads, fh);
-
-  // Hoisted query-side projections: cache-independent, so one [R x .] GEMM
-  // per head covers every window row. Row slices of a GEMM are bitwise
-  // equal to the per-row GEMVs they replace.
-  std::vector<Tensor> q_all;   // R x F_H per head
-  std::vector<Tensor> qk_all;  // R x F per head (reordered windows only)
-  q_all.reserve(heads);
-  if (any_reordered) qk_all.reserve(heads);
-  for (std::size_t h = 0; h < heads; ++h) {
-    q_all.push_back(matmul(x_rows, w.heads[h].wq));
-    if (any_reordered) {
-      qk_all.push_back(
-          matmul(q_all[h], w.heads[h].wk, Trans::kNo, Trans::kYes));
-    }
-  }
-  // Reordered rows buffer their weighted-x sums so W_V applies once per
-  // head at the end — linearity lets it commute with the row loop, and row
-  // slices keep the chains bitwise identical to a per-row projection.
-  std::vector<Tensor> xsum_all;
-  std::vector<bool> reordered_row(rows, false);
-  if (any_reordered) {
-    xsum_all.reserve(heads);
-    for (std::size_t h = 0; h < heads; ++h) xsum_all.emplace_back(rows, f);
-  }
-
-  std::vector<float> scores;
+  Tensor packed = softmax_partial_identity(rows, config.heads, config.head_dim);
+  PartialKernel kernel(x_rows, w, config, any_reordered);
   for (const DecodeWindowRef& win : windows) {
-    DecodeLayerCache& cache = *win.cache;
-    const bool naive = cache.resident() == AttentionOrder::kNaive;
     for (std::size_t j = win.begin; j < win.end; ++j) {
       // Append-before-attend, in window order: this device's earlier window
       // rows are already resident when row j scores, later ones are not —
       // the causal structure of the window without an explicit mask.
       if ((*win.owned)[j - win.begin]) {
-        cache.append(x_rows.slice_rows(j, j + 1), w);
+        win.cache->append(x_rows.slice_rows(j, j + 1), w);
       }
-      const std::size_t p = cache.rows();
-      if (p == 0) continue;  // the packed row stays the merge identity
-      scores.resize(p);
-      for (std::size_t h = 0; h < heads; ++h) {
-        float* const out = packed.row(j).data() + h * (fh + 2);
-        if (naive) {
-          const float* qd = q_all[h].row(j).data();
-          for (std::size_t r = 0; r < p; ++r) {
-            float dot = 0.0F;
-            const float* kr = cache.position_row(r) + h * fh;
-            for (std::size_t c = 0; c < fh; ++c) dot += qd[c] * kr[c];
-            scores[r] = dot * inv_sqrt;
-          }
-          float m = kNegInf;
-          for (std::size_t r = 0; r < p; ++r) m = std::max(m, scores[r]);
-          float denom = 0.0F;
-          for (std::size_t r = 0; r < p; ++r) {
-            const float e = std::exp(scores[r] - m);
-            denom += e;
-            const float* vr = cache.position_row(r) + (heads + h) * fh;
-            for (std::size_t c = 0; c < fh; ++c) out[2 + c] += e * vr[c];
-          }
-          out[0] = m;
-          out[1] = denom;
-        } else {
-          const float* qd = qk_all[h].row(j).data();
-          for (std::size_t r = 0; r < p; ++r) {
-            float dot = 0.0F;
-            const float* xr = cache.position_row(r);
-            for (std::size_t c = 0; c < f; ++c) dot += qd[c] * xr[c];
-            scores[r] = dot * inv_sqrt;
-          }
-          float m = kNegInf;
-          for (std::size_t r = 0; r < p; ++r) m = std::max(m, scores[r]);
-          float denom = 0.0F;
-          float* const xs = xsum_all[h].row(j).data();
-          for (std::size_t r = 0; r < p; ++r) {
-            const float e = std::exp(scores[r] - m);
-            denom += e;
-            const float* xr = cache.position_row(r);
-            for (std::size_t c = 0; c < f; ++c) xs[c] += e * xr[c];
-          }
-          out[0] = m;
-          out[1] = denom;
-        }
-      }
-      if (!naive) reordered_row[j] = true;
+      kernel.attend(j, *win.cache, packed);
     }
   }
-  if (any_reordered) {
-    for (std::size_t h = 0; h < heads; ++h) {
-      const Tensor o = matmul(xsum_all[h], w.heads[h].wv);  // R x F_H
-      for (std::size_t j = 0; j < rows; ++j) {
-        if (!reordered_row[j]) continue;
-        float* const out = packed.row(j).data() + h * (fh + 2);
-        for (std::size_t c = 0; c < fh; ++c) out[2 + c] = o(j, c);
-      }
-    }
-  }
+  kernel.finish(packed);
   return packed;
 }
 

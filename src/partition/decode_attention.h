@@ -22,6 +22,7 @@
 // paper's position partition.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -146,22 +147,26 @@ class DecodeLayerCache {
     return rows_ * stride_ * sizeof(float);
   }
   [[nodiscard]] std::size_t blocks() const noexcept { return blocks_.size(); }
+  // Floats from one position row to the next inside a page: kNaive packs
+  // [K_0 .. K_{H-1} | V_0 .. V_{H-1}] (2 H F_H), kReordered the raw x row
+  // (F).
+  [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
+
+  // Visits the resident rows page by page, oldest first: fn(rows, first,
+  // count) once per pool block, where the block holds positions
+  // [first, first + count) and `rows` points at position `first`'s row.
+  // Kernels read each page in place; within a page, rows are stride()
+  // floats apart.
+  template <class Fn>
+  void for_each_page(Fn&& fn) const {
+    for (std::size_t b = 0, first = 0; first < rows_;
+         ++b, first += rows_per_block_) {
+      const float* const rows = pool_->data(blocks_[b]);
+      fn(rows, first, std::min(rows_per_block_, rows_ - first));
+    }
+  }
 
  private:
-  friend Tensor decode_partial_attention(const Tensor& x_row,
-                                         const DecodeLayerCache& cache,
-                                         const AttentionWeights& w,
-                                         const LayerConfig& config);
-  friend Tensor decode_windows_partial_attention(
-      const Tensor& x_rows, std::span<const struct DecodeWindowRef> windows,
-      const AttentionWeights& w, const LayerConfig& config);
-
-  // Position row j: kNaive packs [K_0 .. K_{H-1} | V_0 .. V_{H-1}] (stride
-  // 2 H F_H), kReordered the raw x row (stride F).
-  [[nodiscard]] const float* position_row(std::size_t j) const noexcept {
-    return pool_->data(blocks_[j / rows_per_block_]) +
-           (j % rows_per_block_) * stride_;
-  }
   [[nodiscard]] float* append_row();
 
   AttentionOrder resident_ = AttentionOrder::kNaive;
@@ -189,25 +194,16 @@ class DecodeLayerCache {
                                               const AttentionWeights& w,
                                               const LayerConfig& config);
 
-// Speculative-window variant: partial attention for all W rows of a verify
-// window ([W x F], row j = the token at window position j) in one call,
-// returning [W x softmax_partial_cols(H, F_H)]. Rows this device owns
-// (owned[j] true) are appended to the cache *before* their own partial is
-// computed; rows are processed strictly in window order, so the append
-// sequencing IS the intra-window causal mask: row j scores against the
-// resident past plus exactly the device's window positions < j (and itself
-// when owned), never a later draft. Unioned across devices via the merge,
-// row j therefore attends to positions 0..base+j — bitwise the same partial
-// the sequential single-token path would have produced after committing
-// rows 0..j-1. The rejected tail is undone with truncate().
-[[nodiscard]] Tensor decode_window_partial_attention(
-    const Tensor& x_rows, const std::vector<bool>& owned,
-    DecodeLayerCache& cache, const AttentionWeights& w,
-    const LayerConfig& config);
-
 // One verify window of a multi-window batch: command rows [begin, end) of
 // the step belong to this window's sequence; owned[j] marks the rows this
 // device appends to `cache` (in window order, before the row attends).
+// Rows are processed strictly in window order, so the append sequencing IS
+// the intra-window causal mask: row j scores against the resident past plus
+// exactly the device's window positions < j (and itself when owned), never
+// a later draft. Unioned across devices via the merge, row j therefore
+// attends to positions 0..base+j — bitwise the same partial the sequential
+// single-token path would have produced after committing rows 0..j-1. The
+// rejected tail is undone with truncate().
 struct DecodeWindowRef {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -215,14 +211,16 @@ struct DecodeWindowRef {
   DecodeLayerCache* cache = nullptr;
 };
 
-// Batched form of decode_window_partial_attention over every window of a
-// step at once ([R x F] command rows -> [R x softmax_partial_cols]). The
-// query-side projections are cache-independent, so one [R x .] GEMM per
-// head covers all windows — replacing R single-row GEMVs, the dominant
-// per-row cost of batched decode — while the scoring loops run per row in
-// window order exactly as the single-window form does. Row slices of a GEMM
-// are bitwise equal to the per-row calls, so each packed row is identical
-// to what decode_window_partial_attention would have produced.
+// Partial attention for every window of a step at once ([R x F] command
+// rows -> [R x softmax_partial_cols]). The query-side projections are
+// cache-independent, so one [R x .] GEMM per head covers all windows —
+// replacing R single-row GEMVs, the dominant per-row cost of batched
+// decode — while each row then attends its own cache in window order. Row
+// slices of a GEMM are bitwise equal to the per-row calls, so each packed
+// row is identical to what one call per row would have produced. Per row
+// and head, the scores are one transposed detail::gemv per KV page and the
+// weighted value one plain detail::gemv per page of exp weights, so every
+// element sums its positions in increasing order, whatever the page size.
 [[nodiscard]] Tensor decode_windows_partial_attention(
     const Tensor& x_rows, std::span<const DecodeWindowRef> windows,
     const AttentionWeights& w, const LayerConfig& config);

@@ -4,63 +4,51 @@
 // to both identically and the bitwise contract in gemm.h holds on every ISA.
 #include "tensor/gemm.h"
 
+#include <array>
+
 namespace voltage::detail {
 
+// Each instantiation of gemm_impl.inc describes itself.
 namespace base {
-void gemm_blocked(const float* a, bool trans_a, const float* b, bool trans_b,
-                  float* c, std::size_t m, std::size_t i0, std::size_t i1,
-                  std::size_t k, std::size_t n);
-void gemm_reference(const float* a, bool trans_a, const float* b, bool trans_b,
-                    float* c, std::size_t m, std::size_t k, std::size_t n);
+GemmVariant variant() noexcept;
 }  // namespace base
 
 #if defined(__x86_64__) || defined(_M_X64)
 namespace avx2 {
-void gemm_blocked(const float* a, bool trans_a, const float* b, bool trans_b,
-                  float* c, std::size_t m, std::size_t i0, std::size_t i1,
-                  std::size_t k, std::size_t n);
-void gemm_reference(const float* a, bool trans_a, const float* b, bool trans_b,
-                    float* c, std::size_t m, std::size_t k, std::size_t n);
+GemmVariant variant() noexcept;
 }  // namespace avx2
 namespace avx512 {
-void gemm_blocked(const float* a, bool trans_a, const float* b, bool trans_b,
-                  float* c, std::size_t m, std::size_t i0, std::size_t i1,
-                  std::size_t k, std::size_t n);
-void gemm_reference(const float* a, bool trans_a, const float* b, bool trans_b,
-                    float* c, std::size_t m, std::size_t k, std::size_t n);
+GemmVariant variant() noexcept;
 }  // namespace avx512
 #endif
 
 namespace {
 
-using BlockedFn = void (*)(const float*, bool, const float*, bool, float*,
-                           std::size_t, std::size_t, std::size_t, std::size_t,
-                           std::size_t);
-using ReferenceFn = void (*)(const float*, bool, const float*, bool, float*,
-                             std::size_t, std::size_t, std::size_t);
-
-struct Dispatch {
-  BlockedFn blocked;
-  ReferenceFn reference;
-  const char* arch;
+struct Variants {
+  std::array<GemmVariant, 3> list{};
+  std::size_t count = 0;
 };
 
-Dispatch pick() noexcept {
+Variants probe() noexcept {
+  Variants v;
 #if defined(__x86_64__) || defined(_M_X64)
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma")) {
-    return {&avx512::gemm_blocked, &avx512::gemm_reference, "avx512"};
+    v.list[v.count++] = avx512::variant();
   }
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {&avx2::gemm_blocked, &avx2::gemm_reference, "avx2"};
+    v.list[v.count++] = avx2::variant();
   }
 #endif
-  return {&base::gemm_blocked, &base::gemm_reference, "base"};
+  v.list[v.count++] = base::variant();
+  return v;
 }
 
-const Dispatch& dispatch() noexcept {
-  static const Dispatch d = pick();
-  return d;
+const Variants& variants() noexcept {
+  static const Variants v = probe();
+  return v;
 }
+
+const GemmVariant& dispatch() noexcept { return variants().list[0]; }
 
 }  // namespace
 
@@ -90,9 +78,19 @@ void gemm_tt(const float* a, const float* b, float* c, std::size_t m,
   gemm_blocked(a, true, b, true, c, m, 0, m, k, n);
 }
 
+void gemv(const float* a, const float* b, std::size_t ldb, bool trans_b,
+          float* c, std::size_t k, std::size_t n) {
+  dispatch().gemv(a, b, ldb, trans_b, c, k, n);
+}
+
 void gemm_reference(const float* a, bool trans_a, const float* b, bool trans_b,
                     float* c, std::size_t m, std::size_t k, std::size_t n) {
   dispatch().reference(a, trans_a, b, trans_b, c, m, k, n);
+}
+
+std::span<const GemmVariant> gemm_variants() noexcept {
+  const Variants& v = variants();
+  return {v.list.data(), v.count};
 }
 
 const char* gemm_kernel_arch() noexcept { return dispatch().arch; }

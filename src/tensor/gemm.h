@@ -5,10 +5,11 @@
 // matmul never materializes a transposed copy of A or B.
 //
 // The implementation (gemm_impl.inc) is compiled three times: baseline ISA
-// (gemm_base.cpp, 4x8 tile), AVX2+FMA (gemm_avx2.cpp, 6x16 ymm tile), and
-// AVX-512 (gemm_avx512.cpp, 8x32 zmm tile). The entry points below dispatch
-// once per process on __builtin_cpu_supports, always pairing the kernel with
-// the reference from the *same* TU so both share one FP-contraction choice.
+// (gemm_base.cpp, 4x8 tile), AVX2+FMA (gemm_avx2.cpp, 6x16 ymm tile, 8-lane
+// GEMV), and AVX-512 (gemm_avx512.cpp, 8x32 zmm tile, 16-lane GEMV). The
+// entry points below dispatch once per process on __builtin_cpu_supports,
+// always pairing the kernel with the reference from the *same* TU so both
+// share one FP-contraction choice.
 //
 // Bitwise contract (load-bearing; tests/gemm_test.cpp enforces it):
 //   * Every output element accumulates its k products in strictly increasing
@@ -24,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 namespace voltage::detail {
 
@@ -58,11 +60,40 @@ void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
 void gemm_tt(const float* a, const float* b, float* c, std::size_t m,
              std::size_t k, std::size_t n);
 
+// Single-row GEMV: c[0:n] += a[0:k] · op(B), where op(B) is B stored
+// k x n or, when trans_b, the transpose of B stored n x k — either way with
+// row stride `ldb`, so B may be a column window of a wider matrix (one
+// head's K columns of a KV page). Same bitwise contract as the GEMM: each
+// c[j] accumulates its k products in increasing k order through the same
+// fused operation, so the result equals row 0 of gemm_reference on a packed
+// copy of that window, and a sum split into consecutive k-ranges (one call
+// per KV page) equals the unsplit call.
+void gemv(const float* a, const float* b, std::size_t ldb, bool trans_b,
+          float* c, std::size_t k, std::size_t n);
+
 // Naive i-j-k triple loop, one accumulator per element in strictly
 // increasing k order — the bitwise reference the tiled kernels must match.
 // Dispatched to the same TU as the kernels above.
 void gemm_reference(const float* a, bool trans_a, const float* b, bool trans_b,
                     float* c, std::size_t m, std::size_t k, std::size_t n);
+
+// One compiled ISA instantiation of the kernels above; its reference comes
+// from the same TU.
+struct GemmVariant {
+  const char* arch;  // "avx512", "avx2", or "base"
+  void (*blocked)(const float* a, bool trans_a, const float* b, bool trans_b,
+                  float* c, std::size_t m, std::size_t i0, std::size_t i1,
+                  std::size_t k, std::size_t n);
+  void (*gemv)(const float* a, const float* b, std::size_t ldb, bool trans_b,
+               float* c, std::size_t k, std::size_t n);
+  void (*reference)(const float* a, bool trans_a, const float* b,
+                    bool trans_b, float* c, std::size_t m, std::size_t k,
+                    std::size_t n);
+};
+
+// Every variant compiled into this binary that the host CPU can execute,
+// widest ISA first. The entry points above dispatch to the first.
+std::span<const GemmVariant> gemm_variants() noexcept;
 
 // ISA variant the dispatcher selected: "avx512", "avx2", or "base".
 const char* gemm_kernel_arch() noexcept;

@@ -68,6 +68,12 @@ std::span<const std::byte> payload_data(const Payload& payload) {
                                 : payload.body();
 }
 
+// Copies a float body. An empty tensor's data() is null, and memcpy
+// forbids a null pointer even for zero bytes, so empty bodies are skipped.
+void copy_body(void* dst, const void* src, std::size_t bytes) {
+  if (bytes != 0) std::memcpy(dst, src, bytes);
+}
+
 // Dequantize a quantized wire body (rows float32 scales, then rows*cols
 // int8) into rows*cols floats at `dst` (contiguous, row-major).
 void dequantize_body(std::span<const std::byte> data, float* dst,
@@ -94,7 +100,7 @@ std::vector<std::byte> to_bytes(const Tensor& t) {
   const std::uint64_t cols = t.cols();
   std::memcpy(out.data(), &rows, sizeof(rows));
   std::memcpy(out.data() + sizeof(rows), &cols, sizeof(cols));
-  std::memcpy(out.data() + kTensorWireHeaderBytes, t.data(), t.byte_size());
+  copy_body(out.data() + kTensorWireHeaderBytes, t.data(), t.byte_size());
   return out;
 }
 
@@ -117,7 +123,7 @@ Tensor tensor_from_bytes(std::span<const std::byte> bytes) {
   if (shape.quantized) {
     dequantize_body(data, t.data(), shape.rows, shape.cols);
   } else {
-    std::memcpy(t.data(), data.data(), t.byte_size());
+    copy_body(t.data(), data.data(), t.byte_size());
   }
   return t;
 }
@@ -129,7 +135,7 @@ Tensor tensor_from_payload(const Payload& payload) {
   if (shape.quantized) {
     dequantize_body(payload_data(payload), t.data(), shape.rows, shape.cols);
   } else {
-    std::memcpy(t.data(), payload_data(payload).data(), t.byte_size());
+    copy_body(t.data(), payload_data(payload).data(), t.byte_size());
   }
   return t;
 }
@@ -149,10 +155,10 @@ WireShape deserialize_into(const Payload& payload, Tensor& dst,
     dequantize_body(payload_data(payload), dst.data() + row_begin * dst.cols(),
                     shape.rows, shape.cols);
   } else {
-    std::memcpy(dst.data() + row_begin * dst.cols(),
-                payload_data(payload).data(),
-                static_cast<std::size_t>(shape.rows) * shape.cols *
-                    sizeof(float));
+    copy_body(dst.data() + row_begin * dst.cols(),
+              payload_data(payload).data(),
+              static_cast<std::size_t>(shape.rows) * shape.cols *
+                  sizeof(float));
   }
   return shape;
 }

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -211,6 +212,48 @@ TEST(DecodeAttention, ResidentFormsAgreeAndSizeAsDocumented) {
   const Tensor from_reordered = softmax_merge_finalize(
       decode_partial_attention(query, reordered, w, cfg), w, cfg);
   EXPECT_TRUE(allclose(from_naive, from_reordered, 1e-3F));
+}
+
+TEST(DecodeAttention, PartialsAreBitwiseInvariantToThePageSize) {
+  // The kernel reads the cache one pool block (page) at a time. The same 37
+  // rows cached through pools of 1, 16 and >= 37 positions per block — so
+  // the rows cross 36, 2 and no block boundaries — must give
+  // bitwise-identical partials in both resident forms.
+  const TransformerModel model = make_model(mini_gpt2_spec());
+  const LayerConfig& cfg = model.layers()[0].config();
+  const AttentionWeights& w = model.layers()[0].weights().attention;
+  constexpr std::size_t kRows = 37;
+  Rng rng(41);
+  const Tensor rows = rng.uniform_tensor(kRows, cfg.hidden, -1.0F, 1.0F);
+  const Tensor query = rng.uniform_tensor(1, cfg.hidden, -1.0F, 1.0F);
+
+  for (const AttentionOrder order :
+       {AttentionOrder::kNaive, AttentionOrder::kReordered}) {
+    const std::size_t stride = order == AttentionOrder::kNaive
+                                   ? 2 * cfg.heads * cfg.head_dim
+                                   : cfg.hidden;
+    std::vector<Tensor> partials;
+    for (const std::size_t per_block :
+         {std::size_t{1}, std::size_t{16}, std::size_t{64}}) {
+      KvBlockPool pool(per_block * stride);
+      DecodeLayerCache cache;
+      cache.init(order, cfg, &pool);
+      // Uneven appends, so pages also fill across append calls.
+      cache.append(rows.slice_rows(0, 5), w);
+      cache.append(rows.slice_rows(5, 21), w);
+      cache.append(rows.slice_rows(21, kRows), w);
+      ASSERT_EQ(cache.rows(), kRows);
+      EXPECT_EQ(cache.blocks(), (kRows + per_block - 1) / per_block);
+      partials.push_back(decode_partial_attention(query, cache, w, cfg));
+    }
+    for (const Tensor& partial : partials) {
+      ASSERT_EQ(partial.cols(), partials[0].cols());
+      EXPECT_EQ(std::memcmp(partial.data(), partials[0].data(),
+                            partial.byte_size()),
+                0)
+          << (order == AttentionOrder::kNaive ? "naive" : "reordered");
+    }
+  }
 }
 
 // --- End-to-end decoding equivalence --------------------------------------

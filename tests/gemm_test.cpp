@@ -5,6 +5,7 @@
 // single-device inference bit for bit under the naive attention order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string_view>
 #include <vector>
@@ -35,38 +36,112 @@ struct Shape {
 
 // Mixes tile-aligned shapes with shapes that exercise every edge path:
 // m/n/k not divisible by any micro-tile or cache-block size, degenerate
-// single-row/column cases, and k spanning multiple KC blocks.
+// single-row/column cases, and k spanning multiple KC blocks. The last row
+// is 1-row GEMVs with n >= 8, so they fill whole AVX2/AVX-512 lanes: the
+// decoder's q·W_K^T, a reordered query over P=173 rows and a naive one over
+// 37 (mini-gpt2: F=128, F_H=32), then a long k across several vector
+// blocks. All but q·W_K^T end in a masked tail.
 const std::vector<Shape>& test_shapes() {
   static const std::vector<Shape> shapes = {
       {1, 1, 1},     {2, 3, 4},      {5, 7, 9},      {8, 8, 8},
       {13, 1, 31},   {1, 257, 1},    {33, 17, 29},   {64, 64, 64},
       {65, 300, 33}, {100, 48, 129}, {128, 256, 96}, {141, 260, 70},
+      {1, 32, 128},  {1, 128, 173},  {1, 32, 37},    {1, 300, 200},
   };
   return shapes;
 }
 
+// Every variant this host can execute, not just the dispatched one, so an
+// AVX-512 host also checks the AVX2 and baseline kernels.
 TEST(GemmKernels, MatchNaiveReferenceBitwiseForAllVariantsAndShapes) {
-  Rng rng(42);
-  for (const Shape& s : test_shapes()) {
-    for (const bool ta : {false, true}) {
-      for (const bool tb : {false, true}) {
-        // Stored layouts: A is m x k (or k x m when transposed), likewise B.
-        const Tensor a = ta ? rng.normal_tensor(s.k, s.m, 1.0F)
-                            : rng.normal_tensor(s.m, s.k, 1.0F);
-        const Tensor b = tb ? rng.normal_tensor(s.n, s.k, 1.0F)
-                            : rng.normal_tensor(s.k, s.n, 1.0F);
-        // Both sides accumulate onto the same nonzero C.
-        const Tensor c0 = rng.normal_tensor(s.m, s.n, 1.0F);
-        Tensor c_kernel = c0;
-        Tensor c_ref = c0;
-        detail::gemm_blocked(a.data(), ta, b.data(), tb, c_kernel.data(),
-                             s.m, 0, s.m, s.k, s.n);
-        detail::gemm_reference(a.data(), ta, b.data(), tb, c_ref.data(),
-                               s.m, s.k, s.n);
-        expect_bitwise(c_kernel, c_ref);
+  ASSERT_FALSE(detail::gemm_variants().empty());
+  for (const detail::GemmVariant& variant : detail::gemm_variants()) {
+    SCOPED_TRACE(variant.arch);
+    Rng rng(42);
+    for (const Shape& s : test_shapes()) {
+      for (const bool ta : {false, true}) {
+        for (const bool tb : {false, true}) {
+          // Stored layouts: A is m x k (or k x m when transposed), likewise
+          // B.
+          const Tensor a = ta ? rng.normal_tensor(s.k, s.m, 1.0F)
+                              : rng.normal_tensor(s.m, s.k, 1.0F);
+          const Tensor b = tb ? rng.normal_tensor(s.n, s.k, 1.0F)
+                              : rng.normal_tensor(s.k, s.n, 1.0F);
+          // Both sides accumulate onto the same nonzero C.
+          const Tensor c0 = rng.normal_tensor(s.m, s.n, 1.0F);
+          Tensor c_kernel = c0;
+          Tensor c_ref = c0;
+          variant.blocked(a.data(), ta, b.data(), tb, c_kernel.data(), s.m, 0,
+                          s.m, s.k, s.n);
+          variant.reference(a.data(), ta, b.data(), tb, c_ref.data(), s.m,
+                            s.k, s.n);
+          expect_bitwise(c_kernel, c_ref);
+        }
       }
     }
   }
+}
+
+TEST(GemmKernels, DispatchRunsTheWidestExecutableVariant) {
+  EXPECT_STREQ(detail::gemm_variants().front().arch,
+               detail::gemm_kernel_arch());
+  EXPECT_STREQ(detail::gemm_variants().back().arch, "base");
+}
+
+// detail::gemv over a column window of a wider matrix (row stride ldb > the
+// window's width), as the decoder scores one head's K columns of a KV page:
+// equal to the reference on a packed copy of the window, and a k-sum split
+// at page boundaries equals the unsplit call.
+TEST(GemmKernels, StridedGemvMatchesReferenceOnEveryVariant) {
+  constexpr std::size_t kLd = 256;  // stored row width
+  constexpr std::size_t kCol = 96;  // window's first column
+  for (const detail::GemmVariant& variant : detail::gemm_variants()) {
+    SCOPED_TRACE(variant.arch);
+    Rng rng(5);
+    for (const Shape& s : {Shape{1, 32, 37}, Shape{1, 16, 32},
+                           Shape{1, 128, 17}, Shape{1, 23, 9}}) {
+      for (const bool tb : {false, true}) {
+        // The window is k x n (n x k when transposed) inside rows of kLd.
+        const std::size_t rows = tb ? s.n : s.k;
+        const std::size_t cols = tb ? s.k : s.n;
+        const Tensor wide = rng.normal_tensor(rows, kLd, 1.0F);
+        Tensor window(rows, cols);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = 0; c < cols; ++c) {
+            window(r, c) = wide(r, kCol + c);
+          }
+        }
+        const Tensor a = rng.normal_tensor(1, s.k, 1.0F);
+        const Tensor c0 = rng.normal_tensor(1, s.n, 1.0F);
+        Tensor c_ref = c0;
+        variant.reference(a.data(), false, window.data(), tb, c_ref.data(), 1,
+                          s.k, s.n);
+        Tensor c_gemv = c0;
+        variant.gemv(a.data(), wide.data() + kCol, kLd, tb, c_gemv.data(), s.k,
+                     s.n);
+        expect_bitwise(c_gemv, c_ref);
+        if (tb) continue;
+        // Plain form split into consecutive k-ranges (KV pages).
+        Tensor c_paged = c0;
+        for (std::size_t p0 = 0; p0 < s.k; p0 += 5) {
+          const std::size_t kp = std::min<std::size_t>(5, s.k - p0);
+          variant.gemv(a.data() + p0, wide.data() + p0 * kLd + kCol, kLd,
+                       false, c_paged.data(), kp, s.n);
+        }
+        expect_bitwise(c_paged, c_ref);
+      }
+    }
+  }
+  // The dispatched entry point is the first variant.
+  Rng rng(6);
+  const Tensor a = rng.normal_tensor(1, 32, 1.0F);
+  const Tensor b = rng.normal_tensor(40, kLd, 1.0F);
+  Tensor c_entry(1, 40);
+  Tensor c_first(1, 40);
+  detail::gemv(a.data(), b.data(), kLd, true, c_entry.data(), 32, 40);
+  detail::gemm_variants().front().gemv(a.data(), b.data(), kLd, true,
+                                       c_first.data(), 32, 40);
+  expect_bitwise(c_entry, c_first);
 }
 
 TEST(GemmKernels, DedicatedEntryPointsMatchReference) {
