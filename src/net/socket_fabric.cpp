@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -18,13 +19,6 @@ namespace voltage {
 
 namespace {
 
-struct FrameHeader {
-  std::uint64_t source;
-  std::uint64_t tag;
-  std::uint64_t trace_id;
-  std::uint64_t seq;
-  std::uint64_t length;
-};
 static_assert(sizeof(FrameHeader) == kWireFrameBytes,
               "kWireFrameBytes must match the socket frame header");
 
@@ -64,7 +58,35 @@ bool read_all(int fd, void* data, std::size_t len) {
   return true;
 }
 
+// Reads one part of a frame; false once the peer is gone (orderly EOF, or
+// torn down mid-frame during shutdown).
+bool read_part(int fd, void* data, std::size_t len) noexcept {
+  try {
+    return read_all(fd, data, len);
+  } catch (...) {
+    return false;
+  }
+}
+
 }  // namespace
+
+FrameHeader parse_frame_header(
+    std::span<const std::byte, kWireFrameBytes> bytes, DeviceId peer) {
+  FrameHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  const auto reject = [peer](const std::string& what) {
+    return std::runtime_error("SocketFabric: frame from device " +
+                              std::to_string(peer) + " " + what);
+  };
+  if (header.source != peer) {
+    throw reject("claims source " + std::to_string(header.source));
+  }
+  if (header.length > kMaxFramePayloadBytes) {
+    throw reject("announces " + std::to_string(header.length) +
+                 " payload bytes, over the frame cap");
+  }
+  return header;
+}
 
 SocketFabric::SocketFabric(std::size_t devices) {
   if (devices == 0) {
@@ -184,15 +206,26 @@ void SocketFabric::reader_loop(std::size_t device) {
           (fds[idx].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
         continue;
       }
-      FrameHeader header{};
-      bool ok = false;
-      try {
-        ok = read_all(fds[idx].fd, &header, sizeof(header));
-      } catch (...) {
-        ok = false;  // peer torn down mid-frame during shutdown
-      }
-      if (!ok) {
+      std::array<std::byte, kWireFrameBytes> raw{};
+      if (!read_part(fds[idx].fd, raw.data(), raw.size())) {
         fds[idx].fd = -1;  // peer closed
+        --open;
+        continue;
+      }
+      FrameHeader header;
+      try {
+        header = parse_frame_header(raw, owner[idx]);
+      } catch (const std::runtime_error& e) {
+        // A hostile or corrupt peer: poison the mesh, naming it.
+        close(e.what());
+        fds[idx].fd = -1;
+        --open;
+        continue;
+      }
+      std::vector<std::byte> body(header.length);
+      if (header.length > 0 &&
+          !read_part(fds[idx].fd, body.data(), body.size())) {
+        fds[idx].fd = -1;
         --open;
         continue;
       }
@@ -202,20 +235,6 @@ void SocketFabric::reader_loop(std::size_t device) {
       msg.tag = header.tag;
       msg.trace_id = header.trace_id;
       msg.seq = header.seq;
-      std::vector<std::byte> body(header.length);
-      if (header.length > 0) {
-        try {
-          if (!read_all(fds[idx].fd, body.data(), header.length)) {
-            fds[idx].fd = -1;
-            --open;
-            continue;
-          }
-        } catch (...) {
-          fds[idx].fd = -1;
-          --open;
-          continue;
-        }
-      }
       msg.payload = std::move(body);
       {
         const std::lock_guard lock(ep.mutex);

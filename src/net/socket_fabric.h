@@ -15,9 +15,11 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +27,26 @@
 #include "net/transport.h"
 
 namespace voltage {
+
+// A frame's fixed header, as it crosses the socket.
+struct FrameHeader {
+  std::uint64_t source = 0;
+  std::uint64_t tag = 0;
+  std::uint64_t trace_id = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t length = 0;  // payload bytes that follow
+};
+
+// Largest payload a frame may announce: far above any protocol payload (a
+// prefill partition or the pipeline's full activation is a few MiB), far
+// below what a reader could allocate on a peer's word.
+inline constexpr std::uint64_t kMaxFramePayloadBytes = std::uint64_t{1} << 28;
+
+// Decodes the header of a frame read from the socket to device `peer`.
+// Throws std::runtime_error naming the peer unless the source is `peer` and
+// the length is at most kMaxFramePayloadBytes.
+[[nodiscard]] FrameHeader parse_frame_header(
+    std::span<const std::byte, kWireFrameBytes> bytes, DeviceId peer);
 
 class SocketFabric final : public Transport {
  public:

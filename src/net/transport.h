@@ -134,8 +134,8 @@ class Transport {
 namespace detail {
 
 // Process-unique id per transport instance. Flow ids are namespaced by it
-// so two meshes tracing into one Tracer (a server's runtime and its
-// decoder) can never collide on (sender, seq).
+// so two meshes tracing into one Tracer (two runtimes, or a server's mesh
+// before and after a rebuild) can never collide on (sender, seq).
 [[nodiscard]] std::uint64_t next_transport_uid();
 
 // Flow binding id for one message: unique per (transport, sender, seq).

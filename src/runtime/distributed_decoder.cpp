@@ -151,35 +151,33 @@ DistributedDecoder::DistributedDecoder(const TransformerModel& model,
                                        PartitionScheme scheme,
                                        OrderPolicy policy,
                                        std::unique_ptr<Transport> transport)
+    : DistributedDecoder(model, scheme, policy,
+                         std::make_shared<DeviceMesh>(std::move(transport),
+                                                      scheme.devices())) {}
+
+DistributedDecoder::DistributedDecoder(const TransformerModel& model,
+                                       PartitionScheme scheme,
+                                       OrderPolicy policy,
+                                       std::shared_ptr<DeviceMesh> mesh)
     : model_(model),
       scheme_(std::move(scheme)),
       policy_(policy),
-      transport_(std::move(transport)),
       devices_(scheme_.devices()),
-      mesh_(*transport_, scheme_.devices()) {
+      mesh_(std::move(mesh)) {
   if (model_.spec().kind != ModelKind::kCausalLm) {
     throw std::invalid_argument("DistributedDecoder: needs a causal LM");
   }
-  if (transport_->devices() != scheme_.devices() + 1) {
+  if (mesh_->devices() != scheme_.devices()) {
     throw std::invalid_argument(
-        "DistributedDecoder: transport must have one endpoint per worker "
-        "plus the terminal");
+        "DistributedDecoder: mesh and scheme device counts differ");
   }
 }
 
 void DistributedDecoder::ensure_alive() const {
-  if (mesh_.failed()) {
+  if (mesh_->failed()) {
     throw std::logic_error(
         "DistributedDecoder: mesh failed; build a new decoder");
   }
-}
-
-void DistributedDecoder::set_tracer(obs::Tracer* tracer) {
-  // Jobs still finishing an earlier call write to the tracer they were
-  // posted with; let them finish before it can be destroyed.
-  mesh_.drain();
-  tracer_ = tracer;
-  mesh_.name_tracks(tracer, "device");
 }
 
 void DistributedDecoder::set_precision(Precision precision) {
@@ -190,7 +188,7 @@ void DistributedDecoder::set_precision(Precision precision) {
 }
 
 void DistributedDecoder::set_metrics(obs::MetricsRegistry* metrics) {
-  transport_->set_metrics(metrics);
+  mesh_->transport().set_metrics(metrics);
   decode_tokens_ = metrics == nullptr ? nullptr
                                       : &metrics->counter("decode.tokens");
 }
@@ -210,7 +208,8 @@ void DistributedDecoder::serve_command(std::size_t i,
                                        std::size_t kv_block_limit) {
   DeviceState& state = devices_[i];
   Tensor raw(0, 0);
-  broadcast(*transport_, mesh_.everyone(), i, mesh_.devices(), raw, kTagCmd);
+  broadcast(mesh_->transport(), mesh_->everyone(), i, mesh_->devices(), raw,
+            kTagCmd);
   const DecodeCommand cmd = parse_decode_command(
       raw, state.prompt_lens, model_.spec().max_positions);
   // Per-request deadline, fixed by the terminal at call entry and shared
@@ -255,7 +254,7 @@ void DistributedDecoder::prime_device(std::size_t i, const DecodeCommand& cmd,
   // device's input rows into its resident cache, and only the owner of row
   // n-1 sends that single row (the LM head reads nothing else).
   prefill_device(
-      mesh_, model_,
+      *mesh_, model_,
       PrefillPlan{
           .ranges = std::vector<std::vector<Range>>(layers.size(),
                                                     scheme_.ranges(n)),
@@ -292,6 +291,7 @@ void DistributedDecoder::step_device(std::size_t i, const DecodeCommand& cmd,
   const std::size_t f = model_.spec().layer.hidden;
   const std::size_t rows_total = cmd.rows.size();
   obs::Tracer* const tracer = obs::thread_tracer();
+  Transport& transport = mesh_->transport();
   DeviceState& state = devices_[i];
   Tensor x(rows_total, f);
   if (int8 != nullptr) {
@@ -303,7 +303,7 @@ void DistributedDecoder::step_device(std::size_t i, const DecodeCommand& cmd,
       throw std::runtime_error("DistributedDecoder: malformed step command");
     }
     Tensor rows(0, 0);
-    broadcast(*transport_, mesh_.everyone(), i, k, rows, kTagToken, options);
+    broadcast(transport, mesh_->everyone(), i, k, rows, kTagToken, options);
     if (rows.rows() != rows_total || rows.cols() != f) {
       throw std::runtime_error("DistributedDecoder: malformed token rows");
     }
@@ -382,7 +382,7 @@ void DistributedDecoder::step_device(std::size_t i, const DecodeCommand& cmd,
     // the same fixed rank order a single-lane step uses — k draft positions
     // ride the message count of one token.
     const Tensor merged = all_reduce_softmax_merge(
-        *transport_, mesh_.workers(), i, l % k, partials, config.heads,
+        transport, mesh_->workers(), i, l % k, partials, config.heads,
         config.head_dim, kTagMergeBase + 2 * l, options);
     // Post-attention tail on the R rows, redundantly on every device — all
     // ranks leave the layer with bitwise-identical x, so the layer output
@@ -412,10 +412,10 @@ void DistributedDecoder::step_device(std::size_t i, const DecodeCommand& cmd,
     span.device(static_cast<std::int64_t>(i))
         .batch(static_cast<std::int64_t>(rows_total))
         .bytes(static_cast<std::int64_t>(payload.size() + kWireFrameBytes));
-    transport_->send(Message{.source = i,
-                             .destination = terminal_id(),
-                             .tag = kTagPrefillFinal,
-                             .payload = std::move(payload)});
+    transport.send(Message{.source = i,
+                           .destination = terminal_id(),
+                           .tag = kTagPrefillFinal,
+                           .payload = std::move(payload)});
   }
   // Greedy longest-prefix acceptance, redundantly on every rank: the LM
   // head is row-independent (postprocess_rows row r is bitwise equal to
@@ -451,13 +451,10 @@ void DistributedDecoder::step_device(std::size_t i, const DecodeCommand& cmd,
 // Terminal side
 
 void DistributedDecoder::post_command() {
-  mesh_.post(
+  mesh_->post(
       [this, qstack = qstack_.get(), limit = kv_block_limit_](std::size_t i) {
         serve_command(i, qstack, limit);
-      },
-      {.tracer = tracer_,
-       .telemetry = telemetry_,
-       .intra_op_threads = intra_op_threads_});
+      });
 }
 
 Tensor DistributedDecoder::prime(std::span<const TokenId> prompt) {
@@ -500,10 +497,11 @@ DistributedDecoder::PrimedSlot DistributedDecoder::prime_slot(
   // poisoning anything.
   Tensor features = model_.preprocess(prompt);
   // The command broadcast carries the call's trace id to every worker.
-  return mesh_.call(tracer_, [&] {
+  return mesh_->call([&] {
+    Transport& transport = mesh_->transport();
     const RecvOptions options = RecvOptions::within(recv_timeout_seconds_);
-    const std::uint64_t bytes_before = transport_->total_stats().bytes_sent;
-    obs::TraceSpan span(tracer_, "decode.prefill", "serve",
+    const std::uint64_t bytes_before = transport.total_stats().bytes_sent;
+    obs::TraceSpan span(mesh_->tracer(), "decode.prefill", "serve",
                         static_cast<obs::TrackId>(terminal_id()));
     span.device(static_cast<std::int64_t>(terminal_id()))
         .request(static_cast<std::int64_t>(prompt.size()));
@@ -513,19 +511,17 @@ DistributedDecoder::PrimedSlot DistributedDecoder::prime_slot(
     cmd(0, 2) = precision_ == Precision::kInt8 ? 1.0F : 0.0F;
     cmd(0, 3) = deadline_column(recv_timeout_seconds_);
     cmd(0, 4) = static_cast<float>(slot);
-    broadcast(*transport_, mesh_.everyone(), k, k, cmd, kTagCmd, options);
+    broadcast(transport, mesh_->everyone(), k, k, cmd, kTagCmd, options);
     post_command();
-    broadcast(*transport_, mesh_.everyone(), k, k, features,
+    broadcast(transport, mesh_->everyone(), k, k, features,
               kTagPrefillFeatures, options);
     const Tensor last_row = tensor_from_payload(
-        transport_->recv_any(terminal_id(), kTagPrefillFinal, options)
-            .payload);
+        transport.recv_any(terminal_id(), kTagPrefillFinal, options).payload);
     slots_[slot] = SlotMeta{.active = true,
                             .position = prompt.size(),
                             .prompt_len = prompt.size()};
-    span.bytes(
-        static_cast<std::int64_t>(transport_->total_stats().bytes_sent -
-                                  bytes_before));
+    span.bytes(static_cast<std::int64_t>(transport.total_stats().bytes_sent -
+                                         bytes_before));
     return PrimedSlot{.slot = slot, .logits = model_.postprocess(last_row)};
   });
 }
@@ -584,10 +580,11 @@ DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
       }
     }
   }
-  return mesh_.call(tracer_, [&] {
+  return mesh_->call([&] {
+    Transport& transport = mesh_->transport();
     const RecvOptions options = RecvOptions::within(recv_timeout_seconds_);
-    const std::uint64_t bytes_before = transport_->total_stats().bytes_sent;
-    obs::TraceSpan span(tracer_, "decode.step", "serve",
+    const std::uint64_t bytes_before = transport.total_stats().bytes_sent;
+    obs::TraceSpan span(mesh_->tracer(), "decode.step", "serve",
                         static_cast<obs::TrackId>(terminal_id()));
     span.device(static_cast<std::int64_t>(terminal_id()))
         .request(static_cast<std::int64_t>(slots_[windows[0].slot].position))
@@ -617,14 +614,14 @@ DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
         }
       }
     }
-    broadcast(*transport_, mesh_.everyone(), k, k, cmd, kTagCmd, options);
+    broadcast(transport, mesh_->everyone(), k, k, cmd, kTagCmd, options);
     post_command();
     if (int8) {
-      broadcast(*transport_, mesh_.everyone(), k, k, rows, kTagToken, options,
+      broadcast(transport, mesh_->everyone(), k, k, rows, kTagToken, options,
                 Precision::kInt8);
     }
     const Tensor last_rows = tensor_from_payload(
-        transport_->recv(terminal_id(), DeviceId{0}, kTagPrefillFinal, options)
+        transport.recv(terminal_id(), DeviceId{0}, kTagPrefillFinal, options)
             .payload);
     if (last_rows.rows() != rows_total) {
       throw std::runtime_error("DistributedDecoder: malformed final rows");
@@ -657,9 +654,8 @@ DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
     span.tokens(static_cast<std::int64_t>(committed_total))
         .drafts(static_cast<std::int64_t>(drafts_total))
         .accepted(static_cast<std::int64_t>(accepted_total))
-        .bytes(
-            static_cast<std::int64_t>(transport_->total_stats().bytes_sent -
-                                      bytes_before));
+        .bytes(static_cast<std::int64_t>(transport.total_stats().bytes_sent -
+                                         bytes_before));
     return round;
   });
 }
@@ -728,14 +724,14 @@ void DistributedDecoder::release_slot(SlotId slot) {
   if (!slot_active(slot)) {
     throw std::out_of_range("DistributedDecoder: inactive slot");
   }
-  mesh_.call(tracer_, [&] {
+  mesh_->call([&] {
     Tensor cmd(1, kCmdCols);
     cmd(0, 0) = kOpRelease;
     cmd(0, 2) = precision_ == Precision::kInt8 ? 1.0F : 0.0F;
     cmd(0, 3) = deadline_column(recv_timeout_seconds_);
     cmd(0, 4) = static_cast<float>(slot);
     const std::size_t k = scheme_.devices();
-    broadcast(*transport_, mesh_.everyone(), k, k, cmd, kTagCmd);
+    broadcast(mesh_->transport(), mesh_->everyone(), k, k, cmd, kTagCmd);
     post_command();
     slots_[slot] = SlotMeta{};
   });

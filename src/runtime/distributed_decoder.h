@@ -39,16 +39,17 @@
 // token-identical to sequential greedy decode (DESIGN.md "Speculative
 // decoding").
 //
-// Device k = device k of the decoder's DeviceMesh (runtime/mesh.h); each
-// call broadcasts one command and posts one job per device, which receives
-// that command from the wire and serves it against the device's resident
-// caches — state only that device's jobs touch, so it outlives every call.
-// The calling thread is the terminal device K, running embedding and the LM
-// head. New decode positions are assigned round-robin per slot so cache
-// growth stays balanced. Failure containment is the mesh's: the first
-// failing party poisons the transport and the terminal rethrows the root
-// cause; the decoder (and every slot on it) is dead afterwards — build a
-// new one.
+// Device k = device k of the decoder's DeviceMesh (runtime/mesh.h), which
+// it may share with a VoltageRuntime; each call broadcasts one command and
+// posts one job per device, which receives that command from the wire and
+// serves it against the device's resident caches — state only that
+// device's jobs touch, so it outlives every call. The calling thread is the
+// terminal device K, running embedding and the LM head. New decode
+// positions are assigned round-robin per slot so cache growth stays
+// balanced. Failure containment is the mesh's: the first failing party
+// poisons the transport and the terminal rethrows the root cause; the
+// decoder (and every slot on it) is dead afterwards — build a new one on a
+// new mesh.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +60,6 @@
 #include "net/quant_codec.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "partition/decode_attention.h"
 #include "partition/order.h"
@@ -139,6 +139,18 @@ class DistributedDecoder {
   DistributedDecoder(const TransformerModel& model, PartitionScheme scheme,
                      OrderPolicy policy, std::unique_ptr<Transport> transport);
 
+  // Runs on `mesh`, which may be shared (e.g. with a VoltageRuntime) and
+  // must have scheme.devices() devices.
+  DistributedDecoder(const TransformerModel& model, PartitionScheme scheme,
+                     OrderPolicy policy, std::shared_ptr<DeviceMesh> mesh);
+
+  // Waits for the jobs still finishing a call: they touch this decoder's
+  // per-device state.
+  ~DistributedDecoder() { mesh_->drain(); }
+
+  DistributedDecoder(const DistributedDecoder&) = delete;
+  DistributedDecoder& operator=(const DistributedDecoder&) = delete;
+
   // --- Single-sequence API (slot 0) ----------------------------------------
 
   // Distributed prefill: runs the prompt through the partitioned stack once,
@@ -214,7 +226,7 @@ class DistributedDecoder {
   // Byte-accurate traffic since construction (worker ids 0..K-1, terminal
   // id K).
   [[nodiscard]] const Transport& fabric() const noexcept {
-    return *transport_;
+    return mesh_->transport();
   }
   [[nodiscard]] DeviceId terminal_id() const noexcept {
     return scheme_.devices();
@@ -223,9 +235,9 @@ class DistributedDecoder {
     return scheme_;
   }
 
-  // Attaches a span tracer (nullptr detaches). The terminal emits
-  // "decode.prefill" / "decode.step" spans carrying the token index, the
-  // batch size and the step's total wire bytes; workers emit per-layer
+  // Attaches a span tracer to the mesh (nullptr detaches). The terminal
+  // emits "decode.prefill" / "decode.step" spans carrying the token index,
+  // the batch size and the step's total wire bytes; workers emit per-layer
   // compute and softmax-merge comm spans on their own tracks. Each call's
   // jobs run under the tracer attached when the call was made.
   //
@@ -236,24 +248,10 @@ class DistributedDecoder {
   // attached tracer must stay alive until it is detached or the decoder is
   // destroyed. Every arrow of a request is only guaranteed matched on the
   // trace after that point — export then if you intend to --validate.
-  void set_tracer(obs::Tracer* tracer);
+  void set_tracer(obs::Tracer* tracer) { mesh_->set_tracer(tracer); }
 
   // Attaches transport.* counters plus the "decode.tokens" counter.
   void set_metrics(obs::MetricsRegistry* metrics);
-
-  // Attaches the live telemetry hub (nullptr detaches). Workers report the
-  // time spent serving each command (prefill or step, including collective
-  // waits) so the hub can expose per-device utilization; idle waiting
-  // between commands does not count as busy.
-  void set_telemetry(obs::TelemetryHub* telemetry) noexcept {
-    telemetry_ = telemetry;
-  }
-
-  // Attaches the crash-dump flight recorder to the transport (see
-  // Transport::set_flight_recorder).
-  void set_flight_recorder(obs::FlightRecorder* recorder) {
-    transport_->set_flight_recorder(recorder);
-  }
 
   // Per-request receive budget in seconds (default 0: wait forever),
   // threaded through every blocking receive of a prime/step.
@@ -269,12 +267,6 @@ class DistributedDecoder {
   // above) so steady-state serving never hits it.
   void set_kv_block_limit(std::size_t blocks) noexcept {
     kv_block_limit_ = blocks;
-  }
-
-  // Intra-op thread budget for each worker's kernels (default 1; see
-  // VoltageRuntime::set_intra_op_threads — bitwise-neutral).
-  void set_intra_op_threads(std::size_t n) noexcept {
-    intra_op_threads_ = n == 0 ? 1 : n;
   }
 
   // Precision::kInt8 switches the hot paths to the quantized plane: prefill
@@ -346,12 +338,8 @@ class DistributedDecoder {
   const TransformerModel& model_;
   PartitionScheme scheme_;
   OrderPolicy policy_;
-  std::unique_ptr<Transport> transport_;
 
-  obs::Tracer* tracer_ = nullptr;
-  obs::TelemetryHub* telemetry_ = nullptr;
   obs::Counter* decode_tokens_ = nullptr;
-  std::size_t intra_op_threads_ = 1;
   std::size_t kv_block_limit_ = 0;     // 0 = unbounded
   double recv_timeout_seconds_ = 0.0;  // <= 0: no deadline
   Precision precision_ = Precision::kFp32;
@@ -362,7 +350,7 @@ class DistributedDecoder {
   std::vector<SlotMeta> slots_;  // terminal's view, indexed by SlotId
 
   std::vector<DeviceState> devices_;  // [device]
-  DeviceMesh mesh_;  // last member: its threads stop before any state dies
+  std::shared_ptr<DeviceMesh> mesh_;
 };
 
 }  // namespace voltage

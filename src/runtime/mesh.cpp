@@ -1,6 +1,7 @@
 #include "runtime/mesh.h"
 
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 
 #include "core/thread_pool.h"
@@ -107,20 +108,30 @@ void poison(Transport& transport, const std::string& who,
 
 }  // namespace
 
-DeviceMesh::DeviceMesh(Transport& transport, std::size_t devices)
-    : transport_(transport),
+DeviceMesh::DeviceMesh(std::unique_ptr<Transport> transport,
+                       std::size_t devices)
+    : transport_(std::move(transport)),
       everyone_(devices + 1),
       workers_(devices),
       queues_(devices),
       errors_(devices) {
+  if (transport_->devices() != devices + 1) {
+    throw std::invalid_argument(
+        "DeviceMesh: transport must have one endpoint per device plus the "
+        "terminal");
+  }
   std::iota(everyone_.begin(), everyone_.end(), DeviceId{0});
   std::iota(workers_.begin(), workers_.end(), DeviceId{0});
   // Constructed first, so the shared threads outlive every mesh.
   (void)DeviceThreads::shared();
 }
 
-void DeviceMesh::name_tracks(obs::Tracer* tracer,
-                             const std::string& device_name) const {
+void DeviceMesh::set_tracer(obs::Tracer* tracer,
+                            const std::string& device_name) {
+  // Jobs still finishing an earlier call write to the tracer they were
+  // posted with; let them finish before it can be destroyed.
+  drain();
+  context_.tracer = tracer;
   if (tracer == nullptr) return;
   for (std::size_t i = 0; i < devices(); ++i) {
     tracer->set_track_name(static_cast<obs::TrackId>(i),
@@ -129,10 +140,10 @@ void DeviceMesh::name_tracks(obs::Tracer* tracer,
   tracer->set_track_name(static_cast<obs::TrackId>(terminal()), "terminal");
 }
 
-void DeviceMesh::post(Job job, const Context& context) {
+void DeviceMesh::post(Job job) {
   const auto round = std::make_shared<const Round>(
       Round{.job = std::move(job),
-            .context = context,
+            .context = context_,
             .trace_id = obs::thread_trace_id()});
   std::vector<std::size_t> idle;  // devices with no thread yet
   {
@@ -182,7 +193,7 @@ std::exception_ptr DeviceMesh::run(std::size_t device,
     round.job(device);
   } catch (...) {
     error = std::current_exception();
-    poison(transport_, "device " + std::to_string(device), error);
+    poison(*transport_, "device " + std::to_string(device), error);
   }
   if (telemetry != nullptr) {
     telemetry->add_device_busy(device, obs::now_us() - start);
@@ -199,7 +210,7 @@ void DeviceMesh::wait() { rethrow_root_cause(nullptr); }
 
 void DeviceMesh::fail(std::exception_ptr error) {
   failed_ = true;
-  poison(transport_, "terminal", error);
+  poison(*transport_, "terminal", error);
   rethrow_root_cause(error);
   std::rethrow_exception(error);  // unreachable: `error` is non-null
 }

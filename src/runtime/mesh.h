@@ -1,26 +1,28 @@
 // DeviceMesh: the K devices every runtime runs its protocol on.
 //
-// A runtime object owns one mesh for its lifetime; the calling thread is
-// the terminal, device K. The terminal puts its first message of a round on
-// the wire, then posts the round's job: each device runs job(i) after its
-// earlier jobs, under the tracer, the intra-op budget and the telemetry hub
-// the job was posted with, its own track, and the poster's trace id. Jobs
-// are handed over in-process, so the wire carries exactly the protocol's own
-// messages.
+// A mesh owns its transport and the run context every job runs under: the
+// tracer, the telemetry hub and the intra-op budget, set between calls. A
+// runtime object builds a private mesh, or several share one (a server's
+// runtime and decoder); the calling thread is the terminal, device K. The
+// terminal puts its first message of a round on the wire, then posts the
+// round's job: each device runs job(i) after its earlier jobs, under the
+// context the job was posted with, its own track, and the poster's trace
+// id. Jobs are handed over in-process, so the wire carries exactly the
+// protocol's own messages.
 //
 // Devices run on threads shared by every mesh in the process. A device with
 // queued jobs holds one thread until its queue drains, so a round's K
 // devices always run at once (their jobs block on each other); an idle
 // device holds none. The process thus keeps only as many threads as it ever
-// had busy devices at once: a server's runtime and decoder, which take
-// turns, share one set, and no idle runtime pins threads (or their malloc
+// had busy devices at once, and no idle mesh pins threads (or their malloc
 // arenas).
 //
 // Failure containment: whichever party fails first poisons the transport
 // (Transport::close), so every peer blocked in a receive unwinds with
 // TransportClosedError instead of deadlocking. The terminal then waits for
 // every posted job and rethrows the *root cause* — a device's own error
-// before the secondary closed errors the poisoning fanned out.
+// before the secondary closed errors the poisoning fanned out. A poisoned
+// mesh never recovers: everything that runs on it is dead.
 #pragma once
 
 #include <condition_variable>
@@ -41,17 +43,12 @@ namespace voltage {
 
 class DeviceMesh {
  public:
-  // What a job runs under besides its device's track.
-  struct Context {
-    obs::Tracer* tracer = nullptr;           // nullptr = tracing off
-    obs::TelemetryHub* telemetry = nullptr;  // receives each job's busy time
-    std::size_t intra_op_threads = 1;
-  };
   using Job = std::function<void(std::size_t device)>;
 
-  // `devices` devices over `transport`, which must outlive the mesh and
-  // have devices + 1 endpoints (the last is the terminal).
-  DeviceMesh(Transport& transport, std::size_t devices);
+  // `devices` devices over `transport`, which must have devices + 1
+  // endpoints (the last is the terminal); throws std::invalid_argument
+  // otherwise.
+  DeviceMesh(std::unique_ptr<Transport> transport, std::size_t devices);
   // Lets every posted job finish.
   ~DeviceMesh() { drain(); }
 
@@ -60,7 +57,7 @@ class DeviceMesh {
 
   [[nodiscard]] std::size_t devices() const noexcept { return workers_.size(); }
   [[nodiscard]] DeviceId terminal() const noexcept { return devices(); }
-  [[nodiscard]] Transport& transport() const noexcept { return transport_; }
+  [[nodiscard]] Transport& transport() const noexcept { return *transport_; }
   // Device ids 0..K (the broadcast group) and 0..K-1 (the collective group).
   [[nodiscard]] const std::vector<DeviceId>& everyone() const noexcept {
     return everyone_;
@@ -69,13 +66,33 @@ class DeviceMesh {
     return workers_;
   }
 
-  // Names device i's track "<device_name> i" and the terminal's
-  // "terminal" (no-op on a null tracer).
-  void name_tracks(obs::Tracer* tracer, const std::string& device_name) const;
+  // Run context, set between calls; a job keeps the one it was posted with.
+
+  // Attaches a span tracer (nullptr detaches — the default) and names
+  // device i's track "<device_name> i" and the terminal's "terminal". Waits
+  // for every posted job first, so the previous tracer may be destroyed
+  // once it returns; an attached tracer must outlive the mesh or be
+  // detached.
+  void set_tracer(obs::Tracer* tracer,
+                  const std::string& device_name = "device");
+  [[nodiscard]] obs::Tracer* tracer() const noexcept {
+    return context_.tracer;
+  }
+  // Receives each job's busy time per device (nullptr detaches).
+  void set_telemetry(obs::TelemetryHub* telemetry) noexcept {
+    context_.telemetry = telemetry;
+  }
+  // Intra-op thread budget for each device's kernels (default 1: the
+  // devices already are the parallelism, and K devices times a many-way
+  // GEMM split would oversubscribe the host). Results are bitwise
+  // identical at any value; 0 is clamped to 1.
+  void set_intra_op_threads(std::size_t n) noexcept {
+    context_.intra_op_threads = n == 0 ? 1 : n;
+  }
 
   // Queues job(i) on every device i. A job that throws poisons the
   // transport; its error is kept for the next wait() or fail().
-  void post(Job job, const Context& context);
+  void post(Job job);
 
   // Blocks until every posted job has finished (no rethrow).
   void drain() noexcept;
@@ -90,13 +107,13 @@ class DeviceMesh {
   [[noreturn]] void fail(std::exception_ptr error);
   [[nodiscard]] bool failed() const noexcept { return failed_; }
 
-  // Runs `body` as the terminal of a call, on the calling thread: under
-  // `tracer`, on the terminal's track and with the caller's trace id (or a
+  // Runs `body` as the terminal of a call, on the calling thread: under the
+  // tracer, on the terminal's track and with the caller's trace id (or a
   // fresh one), so the call's spans and messages share it. A throw fail()s
   // the mesh.
   template <typename Body>
-  auto call(obs::Tracer* tracer, Body&& body) {
-    const obs::ThreadTracerScope tracer_scope(tracer);
+  auto call(Body&& body) {
+    const obs::ThreadTracerScope tracer_scope(context_.tracer);
     const obs::ThreadTrackScope track_scope(
         static_cast<obs::TrackId>(terminal()));
     const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
@@ -108,6 +125,12 @@ class DeviceMesh {
   }
 
  private:
+  // What a job runs under besides its device's track.
+  struct Context {
+    obs::Tracer* tracer = nullptr;           // nullptr = tracing off
+    obs::TelemetryHub* telemetry = nullptr;  // receives each job's busy time
+    std::size_t intra_op_threads = 1;
+  };
   struct Round {
     Job job;
     Context context;
@@ -120,9 +143,10 @@ class DeviceMesh {
   std::exception_ptr run(std::size_t device, const Round& round) noexcept;
   void rethrow_root_cause(const std::exception_ptr& terminal_error);
 
-  Transport& transport_;
+  std::unique_ptr<Transport> transport_;
   std::vector<DeviceId> everyone_;
   std::vector<DeviceId> workers_;
+  Context context_;      // terminal thread only
   bool failed_ = false;  // terminal thread only
 
   std::mutex mutex_;  // guards everything below

@@ -23,19 +23,13 @@ PipelineRuntime::PipelineRuntime(const TransformerModel& model,
                                  std::unique_ptr<Transport> transport)
     : model_(model),
       devices_(devices),
-      transport_(std::move(transport)),
-      mesh_(*transport_, devices) {
+      mesh_(std::move(transport), devices) {
   if (devices == 0) {
     throw std::invalid_argument("PipelineRuntime: zero devices");
   }
   if (devices > model.spec().num_layers) {
     throw std::invalid_argument(
         "PipelineRuntime: more stages than transformer layers");
-  }
-  if (transport_->devices() != devices + 1) {
-    throw std::invalid_argument(
-        "PipelineRuntime: transport must have one endpoint per stage plus "
-        "the terminal");
   }
 }
 
@@ -62,7 +56,8 @@ void PipelineRuntime::run_stage(std::size_t stage, std::size_t requests) {
                           static_cast<obs::TrackId>(stage));
       span.device(static_cast<std::int64_t>(stage))
           .request(static_cast<std::int64_t>(r));
-      x = tensor_from_payload(transport_->recv(stage, upstream, tag).payload);
+      x = tensor_from_payload(
+          mesh_.transport().recv(stage, upstream, tag).payload);
     }
     {
       obs::TraceSpan span(tracer, "stage", "compute",
@@ -79,10 +74,10 @@ void PipelineRuntime::run_stage(std::size_t stage, std::size_t requests) {
     span.device(static_cast<std::int64_t>(stage))
         .request(static_cast<std::int64_t>(r))
         .bytes(static_cast<std::int64_t>(payload.size()));
-    transport_->send(Message{.source = stage,
-                             .destination = downstream,
-                             .tag = tag,
-                             .payload = std::move(payload)});
+    mesh_.transport().send(Message{.source = stage,
+                                   .destination = downstream,
+                                   .tag = tag,
+                                   .payload = std::move(payload)});
   }
 }
 
@@ -92,7 +87,8 @@ std::vector<Tensor> PipelineRuntime::infer_batch(
   const DeviceId terminal = k;
   // Terminal: pre-process and inject every request, then collect results
   // in order. Injection does not wait for completions, so the stages fill.
-  const obs::ThreadTracerScope tracer_scope(tracer_);
+  obs::Tracer* const tracer = mesh_.tracer();
+  const obs::ThreadTracerScope tracer_scope(tracer);
   const obs::ThreadTrackScope track_scope(
       static_cast<obs::TrackId>(terminal));
   std::vector<Tensor> results(requests.size());
@@ -114,34 +110,34 @@ std::vector<Tensor> PipelineRuntime::infer_batch(
           },
           requests[r]);
       Payload payload = to_bytes(features);
-      obs::TraceSpan span(tracer_, "send_activation", "comm",
+      obs::TraceSpan span(tracer, "send_activation", "comm",
                           static_cast<obs::TrackId>(terminal));
       span.device(static_cast<std::int64_t>(terminal))
           .request(static_cast<std::int64_t>(r))
           .bytes(static_cast<std::int64_t>(payload.size()));
-      transport_->send(Message{.source = terminal,
-                               .destination = 0,
-                               .tag = kTagRequestBase + r,
-                               .payload = std::move(payload)});
+      mesh_.transport().send(Message{.source = terminal,
+                                     .destination = 0,
+                                     .tag = kTagRequestBase + r,
+                                     .payload = std::move(payload)});
       if (r == 0) {
         // Stages are the parallelism; each stage's kernels stay
-        // single-threaded so K stages don't oversubscribe the host.
-        mesh_.post(
-            [this, n = requests.size()](std::size_t stage) {
-              run_stage(stage, n);
-            },
-            {.tracer = tracer_, .telemetry = nullptr, .intra_op_threads = 1});
+        // single-threaded (the mesh's default budget) so K stages don't
+        // oversubscribe the host.
+        mesh_.post([this, n = requests.size()](std::size_t stage) {
+          run_stage(stage, n);
+        });
       }
     }
     for (std::size_t r = 0; r < requests.size(); ++r) {
       Tensor hidden(0, 0);
       {
-        obs::TraceSpan span(tracer_, "collect_final", "comm",
+        obs::TraceSpan span(tracer, "collect_final", "comm",
                             static_cast<obs::TrackId>(terminal));
         span.device(static_cast<std::int64_t>(terminal))
             .request(static_cast<std::int64_t>(r));
         hidden = tensor_from_payload(
-            transport_->recv(terminal, k - 1, kTagRequestBase + r).payload);
+            mesh_.transport().recv(terminal, k - 1, kTagRequestBase + r)
+                .payload);
       }
       results[r] = model_.postprocess(hidden);
     }

@@ -47,7 +47,7 @@ class PipelineRuntime {
   [[nodiscard]] Tensor infer(const Image& image);
 
   [[nodiscard]] const Transport& fabric() const noexcept {
-    return *transport_;
+    return mesh_.transport();
   }
   // Layer range owned by `stage` (exposed for tests).
   [[nodiscard]] Range stage_layers(std::size_t stage) const;
@@ -56,15 +56,11 @@ class PipelineRuntime {
   // "stage" compute span per request plus activation send/recv comm spans;
   // every request carries its own trace id end to end, so overlapping
   // requests render as distinct causal chains through the pipeline.
-  void set_tracer(obs::Tracer* tracer) {
-    tracer_ = tracer;
-    mesh_.name_tracks(tracer, "stage");
-  }
-  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
+  void set_tracer(obs::Tracer* tracer) { mesh_.set_tracer(tracer, "stage"); }
 
   // Attaches transport.* counters (see Transport::set_metrics).
   void set_metrics(obs::MetricsRegistry* metrics) {
-    transport_->set_metrics(metrics);
+    mesh_.transport().set_metrics(metrics);
   }
 
  private:
@@ -72,9 +68,7 @@ class PipelineRuntime {
 
   const TransformerModel& model_;
   std::size_t devices_;
-  std::unique_ptr<Transport> transport_;
-  obs::Tracer* tracer_ = nullptr;  // non-owning; nullptr = tracing off
-  DeviceMesh mesh_;  // after transport_: its threads stop first
+  DeviceMesh mesh_;
 };
 
 }  // namespace voltage

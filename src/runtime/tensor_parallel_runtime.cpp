@@ -41,19 +41,13 @@ TensorParallelRuntime::TensorParallelRuntime(
     : model_(model),
       devices_(devices),
       star_allreduce_(star_allreduce),
-      transport_(std::move(transport)),
-      mesh_(*transport_, devices) {
+      mesh_(std::move(transport), devices) {
   if (devices == 0) {
     throw std::invalid_argument("TensorParallelRuntime: zero devices");
   }
   if (devices > model.spec().layer.heads) {
     throw std::invalid_argument(
         "TensorParallelRuntime: more devices than attention heads");
-  }
-  if (transport_->devices() != devices + 1) {
-    throw std::invalid_argument(
-        "TensorParallelRuntime: transport must have one endpoint per worker "
-        "plus the terminal");
   }
 }
 
@@ -79,18 +73,19 @@ void TensorParallelRuntime::device_forward(std::size_t i) {
   const Range heads = head_shard(i);
   const Range ffn_cols = ffn_shard(i);
   obs::Tracer* const tracer = obs::thread_tracer();
+  Transport& transport = mesh_.transport();
 
   Tensor x(0, 0);
-  broadcast(*transport_, mesh_.everyone(), i, k, x, kTagBroadcast);
+  broadcast(transport, mesh_.everyone(), i, k, x, kTagBroadcast);
   const std::size_t n = x.rows();
   const std::size_t f = x.cols();
   // Sums this shard's partial with every other shard's (ring or star).
   const auto all_reduce = [&](Tensor partial, MessageTag tag) {
     if (k == 1) return partial;
     return star_allreduce_
-               ? naive_all_reduce_sum(*transport_, mesh_.workers(), i,
+               ? naive_all_reduce_sum(transport, mesh_.workers(), i,
                                       std::move(partial), tag)
-               : ring_all_reduce_sum(*transport_, mesh_.workers(), i,
+               : ring_all_reduce_sum(transport, mesh_.workers(), i,
                                      std::move(partial), tag);
   };
   for (std::size_t l = 0; l < layers.size(); ++l) {
@@ -150,10 +145,10 @@ void TensorParallelRuntime::device_forward(std::size_t i) {
                         static_cast<obs::TrackId>(i));
     span.device(static_cast<std::int64_t>(i))
         .bytes(static_cast<std::int64_t>(payload.size()));
-    transport_->send(Message{.source = i,
-                             .destination = terminal_id(),
-                             .tag = kTagFinal,
-                             .payload = std::move(payload)});
+    transport.send(Message{.source = i,
+                           .destination = terminal_id(),
+                           .tag = kTagFinal,
+                           .payload = std::move(payload)});
   }
 }
 
@@ -161,18 +156,18 @@ Tensor TensorParallelRuntime::run(Tensor features) {
   const std::size_t k = devices_;
   const DeviceId terminal = terminal_id();
   Tensor hidden(0, 0);
-  mesh_.call(tracer_, [&] {
-    broadcast(*transport_, mesh_.everyone(), k, k, features, kTagBroadcast);
+  mesh_.call([&] {
+    broadcast(mesh_.transport(), mesh_.everyone(), k, k, features,
+              kTagBroadcast);
     // One shard per core is the parallelism here; each shard's kernels
-    // stay single-threaded so K shards don't oversubscribe the host.
-    mesh_.post(
-        [this](std::size_t i) { device_forward(i); },
-        {.tracer = tracer_, .telemetry = nullptr, .intra_op_threads = 1});
-    obs::TraceSpan span(tracer_, "collect_final", "comm",
+    // stay single-threaded (the mesh's default budget) so K shards don't
+    // oversubscribe the host.
+    mesh_.post([this](std::size_t i) { device_forward(i); });
+    obs::TraceSpan span(mesh_.tracer(), "collect_final", "comm",
                         static_cast<obs::TrackId>(terminal));
     span.device(static_cast<std::int64_t>(terminal));
-    hidden =
-        tensor_from_payload(transport_->recv(terminal, 0, kTagFinal).payload);
+    hidden = tensor_from_payload(
+        mesh_.transport().recv(terminal, 0, kTagFinal).payload);
   });
   mesh_.wait();
   return model_.postprocess(hidden);

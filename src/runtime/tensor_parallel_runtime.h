@@ -39,7 +39,7 @@ class TensorParallelRuntime {
   [[nodiscard]] Tensor infer(const Image& image);
 
   [[nodiscard]] const Transport& fabric() const noexcept {
-    return *transport_;
+    return mesh_.transport();
   }
   [[nodiscard]] DeviceId terminal_id() const noexcept { return devices_; }
 
@@ -51,15 +51,11 @@ class TensorParallelRuntime {
   // "layer" compute spans and the ring/star all-reduce comm spans; every
   // run shares one trace id, so the baseline renders causally connected
   // just like VoltageRuntime.
-  void set_tracer(obs::Tracer* tracer) {
-    tracer_ = tracer;
-    mesh_.name_tracks(tracer, "device");
-  }
-  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
+  void set_tracer(obs::Tracer* tracer) { mesh_.set_tracer(tracer); }
 
   // Attaches transport.* counters (see Transport::set_metrics).
   void set_metrics(obs::MetricsRegistry* metrics) {
-    transport_->set_metrics(metrics);
+    mesh_.transport().set_metrics(metrics);
   }
 
  private:
@@ -69,9 +65,7 @@ class TensorParallelRuntime {
   const TransformerModel& model_;
   std::size_t devices_;
   bool star_allreduce_;
-  std::unique_ptr<Transport> transport_;
-  obs::Tracer* tracer_ = nullptr;  // non-owning; nullptr = tracing off
-  DeviceMesh mesh_;  // after transport_: its threads stop first
+  DeviceMesh mesh_;
 };
 
 }  // namespace voltage

@@ -29,19 +29,24 @@ VoltageRuntime::VoltageRuntime(const TransformerModel& model,
 VoltageRuntime::VoltageRuntime(const TransformerModel& model,
                                LayerSchedule schedule, OrderPolicy policy,
                                std::unique_ptr<Transport> transport)
+    : VoltageRuntime(model, schedule, policy,
+                     std::make_shared<DeviceMesh>(std::move(transport),
+                                                  schedule.devices())) {}
+
+VoltageRuntime::VoltageRuntime(const TransformerModel& model,
+                               LayerSchedule schedule, OrderPolicy policy,
+                               std::shared_ptr<DeviceMesh> mesh)
     : model_(model),
       schedule_(std::move(schedule)),
       policy_(policy),
-      transport_(std::move(transport)),
-      mesh_(*transport_, schedule_.devices()) {
+      mesh_(std::move(mesh)) {
   if (schedule_.num_layers() != model_.spec().num_layers) {
     throw std::invalid_argument(
         "VoltageRuntime: schedule layer count does not match the model");
   }
-  if (transport_->devices() != schedule_.devices() + 1) {
+  if (mesh_->devices() != schedule_.devices()) {
     throw std::invalid_argument(
-        "VoltageRuntime: transport must have one endpoint per worker plus "
-        "the terminal");
+        "VoltageRuntime: mesh and schedule device counts differ");
   }
 }
 
@@ -169,13 +174,14 @@ void prefill_device(const DeviceMesh& mesh, const TransformerModel& model,
 Tensor VoltageRuntime::run(const std::function<Tensor()>& embed) {
   const std::size_t k = schedule_.devices();
   const DeviceId terminal = terminal_id();
+  DeviceMesh& mesh = *mesh_;
   // Adopt the caller's request trace id (e.g. the server's per-request id)
   // or mint a fresh one, so every span and wire message of this run — on
   // all K devices — carries the same causal id.
   const obs::TraceIdScope trace_scope(obs::ensure_trace_id());
   Tensor features(0, 0);
   {
-    obs::TraceSpan span(tracer_, "embed", "compute",
+    obs::TraceSpan span(mesh.tracer(), "embed", "compute",
                         static_cast<obs::TrackId>(terminal));
     span.device(static_cast<std::int64_t>(terminal));
     features = embed();
@@ -198,24 +204,20 @@ Tensor VoltageRuntime::run(const std::function<Tensor()>& embed) {
 
   // Terminal role: distribute features, collect final partitions.
   Tensor hidden(n, features.cols());
-  mesh_.call(tracer_, [&] {
-    broadcast(*transport_, mesh_.everyone(), k, k, features,
+  mesh.call([&] {
+    broadcast(mesh.transport(), mesh.everyone(), k, k, features,
               kTagPrefillFeatures, plan.options);
-    mesh_.post(
-        [&](std::size_t i) { prefill_device(mesh_, model_, plan, i); },
-        {.tracer = tracer_,
-         .telemetry = telemetry_,
-         .intra_op_threads = intra_op_threads_});
+    mesh.post([&](std::size_t i) { prefill_device(mesh, model_, plan, i); });
     // Final partitions land in arrival order, each deserialized straight
     // into the assembled hidden buffer at its range's row offset.
-    obs::TraceSpan span(tracer_, "collect_final", "comm",
+    obs::TraceSpan span(mesh.tracer(), "collect_final", "comm",
                         static_cast<obs::TrackId>(terminal));
     span.device(static_cast<std::int64_t>(terminal));
     const std::vector<Range>& final_ranges = plan.ranges.back();
     std::vector<bool> seen(k, false);
     for (std::size_t received = 0; received < k; ++received) {
       const Message m =
-          transport_->recv_any(terminal, kTagPrefillFinal, plan.options);
+          mesh.transport().recv_any(terminal, kTagPrefillFinal, plan.options);
       if (m.source >= k || seen[m.source]) {
         throw std::runtime_error("VoltageRuntime: unexpected final sender");
       }
@@ -228,9 +230,9 @@ Tensor VoltageRuntime::run(const std::function<Tensor()>& embed) {
       }
     }
   });
-  mesh_.wait();
+  mesh.wait();
   // Steps 16-17: terminal post-processes into the user-facing result.
-  obs::TraceSpan span(tracer_, "postprocess", "compute",
+  obs::TraceSpan span(mesh.tracer(), "postprocess", "compute",
                       static_cast<obs::TrackId>(terminal));
   span.device(static_cast<std::int64_t>(terminal));
   return model_.postprocess(hidden);

@@ -14,7 +14,6 @@
 
 #include "net/quant_codec.h"
 #include "net/transport.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "partition/order.h"
 #include "partition/schedule.h"
@@ -76,6 +75,12 @@ class VoltageRuntime {
   VoltageRuntime(const TransformerModel& model, LayerSchedule schedule,
                  OrderPolicy policy, std::unique_ptr<Transport> transport);
 
+  // Runs on `mesh`, which may be shared (e.g. with a DistributedDecoder) and
+  // must have schedule.devices() devices. A call that poisons it kills
+  // everything else on it too.
+  VoltageRuntime(const TransformerModel& model, LayerSchedule schedule,
+                 OrderPolicy policy, std::shared_ptr<DeviceMesh> mesh);
+
   // End-to-end distributed inference; returns the task logits.
   [[nodiscard]] Tensor infer(std::span<const TokenId> tokens);
   [[nodiscard]] Tensor infer(const Image& image);
@@ -83,7 +88,7 @@ class VoltageRuntime {
   // Byte-accurate traffic since construction (worker ids 0..K-1, terminal
   // id K).
   [[nodiscard]] const Transport& fabric() const noexcept {
-    return *transport_;
+    return mesh_->transport();
   }
   [[nodiscard]] DeviceId terminal_id() const noexcept {
     return schedule_.devices();
@@ -92,35 +97,17 @@ class VoltageRuntime {
     return schedule_;
   }
 
-  // Attaches a span tracer (nullptr detaches — the default). When attached,
-  // every run emits per-device per-layer "layer" spans tagged with the
-  // attention order Theorem 2 selected, embed/attention/ffn phase spans, and
-  // all-gather/broadcast/final-send communication spans with byte counts.
-  // When detached, instrumentation is a null-pointer check per site: no
-  // clock reads, no allocation, no locking.
-  void set_tracer(obs::Tracer* tracer) {
-    tracer_ = tracer;
-    mesh_.name_tracks(tracer, "device");
-  }
-  [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
+  // Attaches a span tracer to the mesh (nullptr detaches — the default).
+  // When attached, every run emits per-device per-layer "layer" spans
+  // tagged with the attention order Theorem 2 selected, embed/attention/ffn
+  // phase spans, and all-gather/broadcast/final-send communication spans
+  // with byte counts. When detached, instrumentation is a null-pointer
+  // check per site: no clock reads, no allocation, no locking.
+  void set_tracer(obs::Tracer* tracer) { mesh_->set_tracer(tracer); }
 
   // Attaches transport.* counters (see Transport::set_metrics).
   void set_metrics(obs::MetricsRegistry* metrics) {
-    transport_->set_metrics(metrics);
-  }
-
-  // Attaches the live telemetry hub (nullptr detaches). When attached,
-  // every run reports each device thread's busy time so the hub can expose
-  // windowed per-device utilization.
-  void set_telemetry(obs::TelemetryHub* telemetry) noexcept {
-    telemetry_ = telemetry;
-  }
-
-  // Attaches the crash-dump flight recorder to the transport (see
-  // Transport::set_flight_recorder): the last wire events are dumped
-  // automatically when the transport is poisoned/closed.
-  void set_flight_recorder(obs::FlightRecorder* recorder) {
-    transport_->set_flight_recorder(recorder);
+    mesh_->transport().set_metrics(metrics);
   }
 
   // Per-request receive budget in seconds (default 0: wait forever). When
@@ -145,18 +132,6 @@ class VoltageRuntime {
   void set_precision(Precision precision);
   [[nodiscard]] Precision precision() const noexcept { return precision_; }
 
-  // Intra-op thread budget for each device thread's kernels (default 1:
-  // device threads already are the parallelism, and K devices times a
-  // many-way GEMM split would oversubscribe the host). Raising it lets a
-  // device use `n` pool threads per GEMM / attention op — results are
-  // bitwise identical at any value. 0 is clamped to 1.
-  void set_intra_op_threads(std::size_t n) noexcept {
-    intra_op_threads_ = n == 0 ? 1 : n;
-  }
-  [[nodiscard]] std::size_t intra_op_threads() const noexcept {
-    return intra_op_threads_;
-  }
-
  private:
   // Embeds the request on the terminal, then runs Algorithm 2 on it.
   [[nodiscard]] Tensor run(const std::function<Tensor()>& embed);
@@ -166,12 +141,8 @@ class VoltageRuntime {
   OrderPolicy policy_;
   Precision precision_ = Precision::kFp32;
   std::unique_ptr<QuantizedStack> qstack_;  // built by set_precision(kInt8)
-  std::unique_ptr<Transport> transport_;
-  obs::Tracer* tracer_ = nullptr;  // non-owning; nullptr = tracing off
-  obs::TelemetryHub* telemetry_ = nullptr;  // non-owning; nullptr = off
-  std::size_t intra_op_threads_ = 1;
   double recv_timeout_seconds_ = 0.0;  // <= 0: no deadline
-  DeviceMesh mesh_;  // after transport_: its threads stop first
+  std::shared_ptr<DeviceMesh> mesh_;
 };
 
 }  // namespace voltage

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/thread_pool.h"
-#include "obs/percentile.h"
 #include "tensor/ops.h"
 
 namespace voltage {
@@ -19,37 +18,12 @@ constexpr Seconds to_seconds(obs::Micros us) {
   return static_cast<Seconds>(us) / 1e6;
 }
 
-LatencyStats summarize(std::vector<Seconds> samples) {
-  LatencyStats stats;
-  if (samples.empty()) return stats;
-  std::sort(samples.begin(), samples.end());
-  double sum = 0.0;
-  for (const Seconds s : samples) sum += s;
-  stats.mean = sum / static_cast<double>(samples.size());
-  stats.p50 = obs::nearest_rank(samples, 0.5);
-  stats.p95 = obs::nearest_rank(samples, 0.95);
-  stats.p99 = obs::nearest_rank(samples, 0.99);
-  stats.max = samples.back();
-  return stats;
-}
-
-// Applies the options the runtime and the decoder share.
-template <typename Runtime>
-std::unique_ptr<Runtime> configure(std::unique_ptr<Runtime> runtime,
-                                   const InferenceServer::Options& options) {
-  std::size_t per_device = options.device_intra_op_threads;
-  if (per_device == 0) {
-    per_device = std::max<std::size_t>(
-        1, intra_op_threads() / (options.scheme.devices() + 1));
-  }
-  runtime->set_intra_op_threads(per_device);
-  runtime->set_precision(options.precision);
-  runtime->set_recv_timeout(options.request_deadline);
-  if (options.metrics != nullptr) runtime->set_metrics(options.metrics);
-  runtime->set_tracer(options.tracer);
-  runtime->set_telemetry(options.telemetry);
-  runtime->set_flight_recorder(options.flight_recorder);
-  return runtime;
+LatencyStats latency(const obs::HistogramSnapshot& snapshot) {
+  return LatencyStats{.mean = snapshot.mean,
+                      .p50 = snapshot.p50,
+                      .p95 = snapshot.p95,
+                      .p99 = snapshot.p99,
+                      .max = snapshot.max};
 }
 
 }  // namespace
@@ -58,11 +32,11 @@ InferenceServer::InferenceServer(const TransformerModel& model,
                                  Options options)
     : model_(model),
       options_(std::move(options)),
-      runtime_(make_runtime()),
       tracer_(options_.tracer),
       metrics_(options_.metrics),
       telemetry_(options_.telemetry),
       flight_recorder_(options_.flight_recorder) {
+  build_mesh();
   if (tracer_ != nullptr) {
     tracer_->set_track_name(obs::kServeTrack, "server");
   }
@@ -77,7 +51,7 @@ InferenceServer::InferenceServer(const TransformerModel& model,
     });
     if (metrics_ != nullptr) {
       // Wire volume comes from the metrics counter rather than the live
-      // transport: the dispatcher swaps runtimes after poisoning, and the
+      // transport: the dispatcher swaps meshes after poisoning, and the
       // counter survives (and sums across) those swaps.
       obs::MetricsRegistry* const metrics = metrics_;
       telemetry_->register_rate("wire_bytes", [metrics] {
@@ -104,37 +78,51 @@ InferenceServer::InferenceServer(const TransformerModel& model,
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
-std::unique_ptr<Transport> InferenceServer::make_fabric() const {
-  const std::size_t endpoints = options_.scheme.devices() + 1;
-  return options_.transport_factory
-             ? options_.transport_factory(endpoints)
-             : make_transport(options_.transport, endpoints);
+void InferenceServer::build_mesh() {
+  // The old decoder drains the old mesh before anything on it dies.
+  decoder_.reset();
+  runtime_.reset();
+  mesh_.reset();
+  const std::size_t devices = options_.scheme.devices();
+  mesh_ = std::make_shared<DeviceMesh>(
+      options_.transport_factory
+          ? options_.transport_factory(devices + 1)
+          : make_transport(options_.transport, devices + 1),
+      devices);
+  std::size_t per_device = options_.device_intra_op_threads;
+  if (per_device == 0) {
+    per_device = std::max<std::size_t>(1, intra_op_threads() / (devices + 1));
+  }
+  mesh_->set_intra_op_threads(per_device);
+  mesh_->set_telemetry(options_.telemetry);
+  mesh_->set_tracer(options_.tracer);
+  mesh_->transport().set_flight_recorder(options_.flight_recorder);
+  runtime_ = std::make_unique<VoltageRuntime>(
+      model_, LayerSchedule::uniform(options_.scheme, model_.spec().num_layers),
+      options_.policy, mesh_);
+  runtime_->set_precision(options_.precision);
+  runtime_->set_recv_timeout(options_.request_deadline);
+  if (options_.metrics != nullptr) runtime_->set_metrics(options_.metrics);
+  if (model_.spec().kind != ModelKind::kCausalLm) return;
+  decoder_ = std::make_unique<DistributedDecoder>(model_, options_.scheme,
+                                                  options_.policy, mesh_);
+  decoder_->set_precision(options_.precision);
+  decoder_->set_recv_timeout(options_.request_deadline);
+  decoder_->set_kv_block_limit(options_.kv_block_limit);
+  if (options_.metrics != nullptr) decoder_->set_metrics(options_.metrics);
 }
 
-std::unique_ptr<VoltageRuntime> InferenceServer::make_runtime() const {
-  return configure(
-      std::make_unique<VoltageRuntime>(
-          model_,
-          LayerSchedule::uniform(options_.scheme, model_.spec().num_layers),
-          options_.policy, make_fabric()),
-      options_);
-}
-
-std::unique_ptr<DistributedDecoder> InferenceServer::make_decoder() const {
-  auto decoder =
-      configure(std::make_unique<DistributedDecoder>(
-                    model_, options_.scheme, options_.policy, make_fabric()),
-                options_);
-  decoder->set_kv_block_limit(options_.kv_block_limit);
-  return decoder;
-}
-
-void InferenceServer::rebuild_runtime_if_poisoned() {
-  if (!runtime_->fabric().closed()) return;
+void InferenceServer::recover(std::vector<ActiveRequest>& batch,
+                              const std::exception_ptr& error) {
   // A poisoned transport never recovers (that is what makes poisoning a
-  // sound unblocking primitive), so the dispatcher swaps in a fresh runtime
-  // rather than failing every later request with the stale close reason.
-  runtime_ = make_runtime();
+  // sound unblocking primitive), and every in-flight generation's KV state
+  // lived on the mesh: fail them with the root cause and swap in a fresh
+  // mesh rather than failing every later request with the stale close
+  // reason.
+  if (!mesh_->transport().closed()) return;
+  for (ActiveRequest& active : batch) fail_generate(active, error);
+  batch.clear();
+  build_mesh();
   {
     const std::lock_guard lock(mutex_);
     runtime_rebuilds_ += 1;
@@ -241,9 +229,9 @@ void InferenceServer::shutdown() {
 // token granularity.
 
 void InferenceServer::dispatch_loop() {
-  // The dispatcher is the terminal device of every runtime/decoder it
-  // drives: publish the tracer so transport sends from this thread emit
-  // flow events even outside the runtimes' own scopes.
+  // The dispatcher is the terminal device of the mesh it drives: publish
+  // the tracer so transport sends from this thread emit flow events even
+  // outside the runtime's and the decoder's own scopes.
   const obs::ThreadTracerScope tracer_scope(tracer_);
   const obs::ThreadTrackScope track_scope(obs::kServeTrack);
   std::vector<ActiveRequest> batch;
@@ -283,31 +271,29 @@ void InferenceServer::dispatch_loop() {
     }
     // Short inline requests are served between decode iterations — they
     // never wait for the batch to drain.
-    for (Job& job : inline_jobs) serve_inline(std::move(job));
+    for (Job& job : inline_jobs) serve_inline(std::move(job), batch);
     for (Job& job : admissions) admit_generate(std::move(job), batch);
 
-    if (!batch.empty()) {
-      // Deadline preemption before spending a step on a doomed request:
-      // the preempted future fails, its KV blocks free, batch-mates are
-      // untouched.
-      const obs::Micros now = obs::now_us();
-      for (auto it = batch.begin(); it != batch.end();) {
-        if (it->deadline_us != 0 && now >= it->deadline_us) {
-          {
-            const std::lock_guard lock(mutex_);
-            preempted_ += 1;
-          }
-          fail_generate(*it,
-                        std::make_exception_ptr(RecvTimeoutError(
-                            "InferenceServer: request deadline exceeded "
-                            "while decoding")),
-                        /*release=*/true);
-          it = batch.erase(it);
-        } else {
-          ++it;
+    // Deadline preemption before spending a step on a doomed request: the
+    // preempted future fails, its KV blocks free, batch-mates are untouched.
+    const obs::Micros now = obs::now_us();
+    std::vector<SlotId> expired;
+    for (auto it = batch.begin(); it != batch.end();) {
+      if (it->deadline_us != 0 && now >= it->deadline_us) {
+        {
+          const std::lock_guard lock(mutex_);
+          preempted_ += 1;
         }
+        fail_generate(*it, std::make_exception_ptr(RecvTimeoutError(
+                               "InferenceServer: request deadline exceeded "
+                               "while decoding")));
+        expired.push_back(it->slot);
+        it = batch.erase(it);
+      } else {
+        ++it;
       }
     }
+    release(expired, batch);
     if (!batch.empty()) {
       if (metrics_ != nullptr) {
         metrics_->histogram("server.batch_occupancy")
@@ -329,28 +315,15 @@ void InferenceServer::dispatch_loop() {
         logits = decoder_->step_batch(
             std::span<const SlotToken>(lanes.data(), lanes.size()));
       } catch (...) {
-        // The mesh died mid-step: every in-flight sequence lost its KV
-        // state, so every in-flight future fails with the root cause.
-        // Queued requests are unaffected — the next admission builds a
-        // fresh decoder.
         fail_batch(batch, std::current_exception());
       }
-      if (!batch.empty()) {
-        std::vector<ActiveRequest> still;
-        still.reserve(batch.size());
-        for (std::size_t r = 0; r < batch.size(); ++r) {
-          ActiveRequest& active = batch[r];
-          active.next = static_cast<TokenId>(argmax_row(logits, r));
-          active.generated.push_back(active.next);
-          tokens_generated_.fetch_add(1, std::memory_order_relaxed);
-          if (active.generated.size() >= active.target) {
-            complete_generate(active);
-          } else {
-            still.push_back(std::move(active));
-          }
-        }
-        batch = std::move(still);
+      for (std::size_t r = 0; r < batch.size(); ++r) {
+        ActiveRequest& active = batch[r];
+        active.next = static_cast<TokenId>(argmax_row(logits, r));
+        active.generated.push_back(active.next);
+        tokens_generated_.fetch_add(1, std::memory_order_relaxed);
       }
+      retire(batch);
     } else if (!batch.empty()) {
       // Speculative iteration: each lane drafts a window sized by its
       // controller (never past its remaining token budget) and the whole
@@ -383,44 +356,35 @@ void InferenceServer::dispatch_loop() {
       } catch (...) {
         fail_batch(batch, std::current_exception());
       }
-      if (!batch.empty()) {
-        std::vector<ActiveRequest> still;
-        still.reserve(batch.size());
-        for (std::size_t r = 0; r < batch.size(); ++r) {
-          ActiveRequest& active = batch[r];
-          const LaneCommit& commit = commits[r];
-          active.generated.insert(active.generated.end(),
-                                  commit.tokens.begin(), commit.tokens.end());
-          active.next = commit.tokens.back();
-          tokens_generated_.fetch_add(commit.tokens.size(),
-                                      std::memory_order_relaxed);
-          const std::size_t rejected = commit.drafted - commit.accepted;
-          spec_accepted_.fetch_add(commit.accepted,
-                                   std::memory_order_relaxed);
-          spec_rejected_.fetch_add(rejected, std::memory_order_relaxed);
-          if (metrics_ != nullptr && commit.drafted > 0) {
-            metrics_->counter("server.spec_accepted").add(commit.accepted);
-            metrics_->counter("server.spec_rejected").add(rejected);
-          }
-          if (active.drafter != nullptr) {
-            active.drafter->observe(std::span<const TokenId>(
-                commit.tokens.data(), commit.tokens.size()));
-          }
-          active.spec.update(commit.accepted, commit.drafted);
-          if (active.generated.size() >= active.target) {
-            complete_generate(active);
-          } else {
-            still.push_back(std::move(active));
-          }
+      for (std::size_t r = 0; r < batch.size(); ++r) {
+        ActiveRequest& active = batch[r];
+        const LaneCommit& commit = commits[r];
+        active.generated.insert(active.generated.end(), commit.tokens.begin(),
+                                commit.tokens.end());
+        active.next = commit.tokens.back();
+        tokens_generated_.fetch_add(commit.tokens.size(),
+                                    std::memory_order_relaxed);
+        const std::size_t rejected = commit.drafted - commit.accepted;
+        spec_accepted_.fetch_add(commit.accepted, std::memory_order_relaxed);
+        spec_rejected_.fetch_add(rejected, std::memory_order_relaxed);
+        if (metrics_ != nullptr && commit.drafted > 0) {
+          metrics_->counter("server.spec_accepted").add(commit.accepted);
+          metrics_->counter("server.spec_rejected").add(rejected);
         }
-        batch = std::move(still);
+        if (active.drafter != nullptr) {
+          active.drafter->observe(std::span<const TokenId>(
+              commit.tokens.data(), commit.tokens.size()));
+        }
+        active.spec.update(commit.accepted, commit.drafted);
       }
+      retire(batch);
     }
     batch_size_.store(batch.size(), std::memory_order_relaxed);
   }
 }
 
-void InferenceServer::serve_inline(Job job) {
+void InferenceServer::serve_inline(Job job,
+                                   std::vector<ActiveRequest>& batch) {
   // One causal trace id per request: every span and message of the whole
   // service — all K devices — shares it.
   const obs::TraceIdScope request_trace(obs::next_trace_id());
@@ -460,24 +424,11 @@ void InferenceServer::serve_inline(Job job) {
           job.input);
     }
     const obs::Micros done_us = obs::now_us();
-    const Seconds wait = to_seconds(wait_us);
-    const Seconds service = to_seconds(done_us - dispatched_us);
-    const Seconds sojourn = to_seconds(done_us - job.arrival_us);
-    {
-      const std::lock_guard lock(mutex_);
-      waits_.push_back(wait);
-      services_.push_back(service);
-      sojourns_.push_back(sojourn);
-    }
-    if (metrics_ != nullptr) {
-      metrics_->counter("server.requests_completed").add(1);
-      metrics_->histogram("server.queue_wait_seconds").record(wait);
-      metrics_->histogram("server.service_seconds").record(service);
-      metrics_->histogram("server.sojourn_seconds").record(sojourn);
-    }
-    requests_completed_.fetch_add(1, std::memory_order_relaxed);
+    record_completion(to_seconds(wait_us), to_seconds(done_us - dispatched_us),
+                      to_seconds(done_us - job.arrival_us));
     job.result.set_value(std::move(logits));
   } catch (...) {
+    const std::exception_ptr error = std::current_exception();
     {
       const std::lock_guard lock(mutex_);
       failed_ += 1;
@@ -485,14 +436,14 @@ void InferenceServer::serve_inline(Job job) {
     if (metrics_ != nullptr) {
       metrics_->counter("server.requests_failed").add(1);
     }
-    job.result.set_exception(std::current_exception());
-    // A failure that poisoned the mesh must not doom every later request:
-    // swap in a fresh runtime so the dispatcher keeps serving.
-    rebuild_runtime_if_poisoned();
+    job.result.set_exception(error);
+    // Input errors throw before the mesh is touched; a failure that
+    // poisoned it takes the running batch with it.
+    recover(batch, error);
   }
 }
 
-bool InferenceServer::admit_generate(Job job,
+void InferenceServer::admit_generate(Job job,
                                      std::vector<ActiveRequest>& batch) {
   const obs::Micros admitted_us = obs::now_us();
   const obs::Micros wait_us = admitted_us - job.arrival_us;
@@ -525,12 +476,10 @@ bool InferenceServer::admit_generate(Job job,
     }
     fail_generate(active,
                   std::make_exception_ptr(RecvTimeoutError(
-                      "InferenceServer: request deadline exceeded in queue")),
-                  /*release=*/false);
-    return false;
+                      "InferenceServer: request deadline exceeded in queue")));
+    return;
   }
   try {
-    if (decoder_ == nullptr) decoder_ = make_decoder();
     const GenerateRequest& req = std::get<GenerateRequest>(active.job.input);
     // The prefill runs under the request's own trace id; batched decode
     // steps serve several requests at once and carry their own per-step id.
@@ -538,17 +487,16 @@ bool InferenceServer::admit_generate(Job job,
     DistributedDecoder::PrimedSlot primed = decoder_->prime_slot(
         std::span<const TokenId>(req.prompt.data(), req.prompt.size()));
     active.slot = primed.slot;
-    if (active.target == 0) {
-      complete_generate(active);
-      return false;
+    if (active.target > 0) {
+      active.next = static_cast<TokenId>(argmax_row(primed.logits, 0));
+      active.generated.push_back(active.next);
+      active.first_token_us = obs::now_us();
+      tokens_generated_.fetch_add(1, std::memory_order_relaxed);
     }
-    active.next = static_cast<TokenId>(argmax_row(primed.logits, 0));
-    active.generated.push_back(active.next);
-    active.first_token_us = obs::now_us();
-    tokens_generated_.fetch_add(1, std::memory_order_relaxed);
     if (active.generated.size() >= active.target) {
       complete_generate(active);
-      return false;
+      release(std::span<const SlotId>(&active.slot, 1), batch);
+      return;
     }
     if (options_.drafter_factory) {
       active.drafter = options_.drafter_factory();
@@ -558,52 +506,49 @@ bool InferenceServer::admit_generate(Job job,
       active.drafter->observe(std::span<const TokenId>(&active.next, 1));
     }
     batch.push_back(std::move(active));
-    return true;
   } catch (...) {
     // Pre-mesh validation errors (bad token, prompt exceeds the window)
     // leave the decoder and its other slots fully serviceable; only a
-    // poisoned fabric means the in-flight batch died with this prefill.
-    const bool mesh_dead =
-        decoder_ != nullptr && decoder_->fabric().closed();
-    fail_generate(active, std::current_exception(), /*release=*/false);
-    if (mesh_dead) fail_batch(batch, std::current_exception());
-    return false;
+    // poisoned mesh means the in-flight batch died with this prefill.
+    const std::exception_ptr error = std::current_exception();
+    fail_generate(active, error);
+    recover(batch, error);
   }
 }
 
-void InferenceServer::complete_generate(ActiveRequest& active) {
-  const obs::Micros done_us = obs::now_us();
-  const Seconds wait = to_seconds(active.admitted_us - active.job.arrival_us);
-  const Seconds service = to_seconds(done_us - active.admitted_us);
-  const Seconds sojourn = to_seconds(done_us - active.job.arrival_us);
-  const Seconds ttft =
-      active.first_token_us != 0
-          ? to_seconds(active.first_token_us - active.job.arrival_us)
-          : 0.0;
-  {
-    const std::lock_guard lock(mutex_);
-    waits_.push_back(wait);
-    services_.push_back(service);
-    sojourns_.push_back(sojourn);
-    if (active.first_token_us != 0) ttfts_.push_back(ttft);
-    if (active.generated.size() > 1) {
-      // Decode-phase inter-token gap: first token lands with the prefill,
-      // the remaining n-1 ride batched steps.
-      token_gaps_.push_back(
-          to_seconds(done_us - active.first_token_us) /
-          static_cast<double>(active.generated.size() - 1));
-    }
-  }
+void InferenceServer::record_completion(Seconds wait, Seconds service,
+                                        Seconds sojourn) {
+  waits_.record(wait);
+  services_.record(service);
+  sojourns_.record(sojourn);
   if (metrics_ != nullptr) {
     metrics_->counter("server.requests_completed").add(1);
     metrics_->histogram("server.queue_wait_seconds").record(wait);
     metrics_->histogram("server.service_seconds").record(service);
     metrics_->histogram("server.sojourn_seconds").record(sojourn);
-    if (active.first_token_us != 0) {
+  }
+  requests_completed_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void InferenceServer::complete_generate(ActiveRequest& active) {
+  const obs::Micros done_us = obs::now_us();
+  record_completion(to_seconds(active.admitted_us - active.job.arrival_us),
+                    to_seconds(done_us - active.admitted_us),
+                    to_seconds(done_us - active.job.arrival_us));
+  if (active.first_token_us != 0) {
+    const Seconds ttft =
+        to_seconds(active.first_token_us - active.job.arrival_us);
+    ttfts_.record(ttft);
+    if (metrics_ != nullptr) {
       metrics_->histogram("server.ttft_seconds").record(ttft);
     }
   }
-  requests_completed_.fetch_add(1, std::memory_order_relaxed);
+  if (active.generated.size() > 1) {
+    // Decode-phase inter-token gap: first token lands with the prefill, the
+    // remaining n-1 ride batched steps.
+    token_gaps_.record(to_seconds(done_us - active.first_token_us) /
+                       static_cast<double>(active.generated.size() - 1));
+  }
   if (tracer_ != nullptr) {
     // Retroactive service span: the request was in service from admission
     // to completion, interleaved with its batch-mates.
@@ -619,23 +564,10 @@ void InferenceServer::complete_generate(ActiveRequest& active) {
                         .tag = {}});
   }
   active.job.generated.set_value(std::move(active.generated));
-  // Return the slot's KV blocks to the pool. If the mesh died under the
-  // release broadcast the request itself still succeeded; drop the decoder
-  // so the next admission builds a fresh one.
-  if (decoder_ != nullptr) {
-    try {
-      decoder_->release_slot(active.slot);
-    } catch (...) {
-      decoder_.reset();
-      if (metrics_ != nullptr) {
-        metrics_->counter("server.decoder_rebuilds").add(1);
-      }
-    }
-  }
 }
 
 void InferenceServer::fail_generate(ActiveRequest& active,
-                                    std::exception_ptr error, bool release) {
+                                    const std::exception_ptr& error) {
   {
     const std::lock_guard lock(mutex_);
     failed_ += 1;
@@ -643,32 +575,48 @@ void InferenceServer::fail_generate(ActiveRequest& active,
   if (metrics_ != nullptr) {
     metrics_->counter("server.requests_failed").add(1);
   }
-  active.job.generated.set_exception(std::move(error));
-  if (release && decoder_ != nullptr && !decoder_->fabric().closed()) {
-    try {
-      decoder_->release_slot(active.slot);
-    } catch (...) {
-      decoder_.reset();
-      if (metrics_ != nullptr) {
-        metrics_->counter("server.decoder_rebuilds").add(1);
-      }
+  active.job.generated.set_exception(error);
+}
+
+void InferenceServer::retire(std::vector<ActiveRequest>& batch) {
+  std::vector<ActiveRequest> still;
+  still.reserve(batch.size());
+  std::vector<SlotId> done;
+  for (ActiveRequest& active : batch) {
+    if (active.generated.size() >= active.target) {
+      complete_generate(active);
+      done.push_back(active.slot);
+    } else {
+      still.push_back(std::move(active));
     }
   }
+  batch = std::move(still);
+  release(done, batch);
 }
 
 void InferenceServer::fail_batch(std::vector<ActiveRequest>& batch,
-                                 std::exception_ptr error) {
+                                 const std::exception_ptr& error) {
+  // A round that poisoned the mesh took every lane's KV state with it
+  // (recover); one that failed validation left the mesh serviceable, so
+  // the failed lanes free their slots.
+  recover(batch, error);
+  std::vector<SlotId> slots;
   for (ActiveRequest& active : batch) {
-    fail_generate(active, error, /*release=*/false);
+    fail_generate(active, error);
+    slots.push_back(active.slot);
   }
   batch.clear();
-  // A failed DistributedDecoder is dead (its mesh is poisoned); drop it so
-  // the next admission builds a fresh one.
-  if (decoder_ != nullptr) {
-    decoder_.reset();
-    if (metrics_ != nullptr) {
-      metrics_->counter("server.decoder_rebuilds").add(1);
-    }
+  release(slots, batch);
+}
+
+void InferenceServer::release(std::span<const SlotId> slots,
+                              std::vector<ActiveRequest>& batch) {
+  // The requests themselves are settled; a release the mesh dies under
+  // fails the rest of the batch.
+  try {
+    for (const SlotId slot : slots) decoder_->release_slot(slot);
+  } catch (...) {
+    recover(batch, std::current_exception());
   }
 }
 
@@ -706,19 +654,9 @@ void InferenceServer::telemetry_loop() {
 }
 
 ServerStats InferenceServer::stats() const {
-  std::vector<Seconds> waits;
-  std::vector<Seconds> services;
-  std::vector<Seconds> sojourns;
-  std::vector<Seconds> ttfts;
-  std::vector<Seconds> token_gaps;
   ServerStats stats;
   {
     const std::lock_guard lock(mutex_);
-    waits = waits_;
-    services = services_;
-    sojourns = sojourns_;
-    ttfts = ttfts_;
-    token_gaps = token_gaps_;
     stats.failed = failed_;
     stats.preempted = preempted_;
     stats.runtime_rebuilds = runtime_rebuilds_;
@@ -728,17 +666,16 @@ ServerStats InferenceServer::stats() const {
       spec_accepted_.load(std::memory_order_relaxed));
   stats.spec_rejected = static_cast<std::size_t>(
       spec_rejected_.load(std::memory_order_relaxed));
-  stats.completed = sojourns.size();
-  if (sojourns.empty()) return stats;
-  const LatencyStats total = summarize(std::move(sojourns));
+  const obs::HistogramSnapshot total = sojourns_.snapshot();
+  stats.completed = total.count;
   stats.mean = total.mean;
   stats.p50 = total.p50;
   stats.p95 = total.p95;
   stats.max = total.max;
-  stats.queue_wait = summarize(std::move(waits));
-  stats.service = summarize(std::move(services));
-  stats.ttft = summarize(std::move(ttfts));
-  stats.per_token = summarize(std::move(token_gaps));
+  stats.queue_wait = latency(waits_.snapshot());
+  stats.service = latency(services_.snapshot());
+  stats.ttft = latency(ttfts_.snapshot());
+  stats.per_token = latency(token_gaps_.snapshot());
   return stats;
 }
 

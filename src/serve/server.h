@@ -3,21 +3,23 @@
 //
 // Requests (token sequences, images, or greedy-generation jobs) enter a FIFO
 // queue from any thread and resolve through std::future. A dispatcher thread
-// drives two planes:
+// drives one DeviceMesh — the cluster's one transport and failure domain —
+// with two protocols on it:
 //   - logits/image requests run one at a time through a VoltageRuntime (the
 //     whole cluster serves each request — that is the point of
-//     latency-oriented distribution);
+//     latency-oriented distribution), between decode iterations;
 //   - generation requests are served with iteration-level continuous
-//     batching (Orca-style): the dispatcher admits queued generations into a
-//     running batch (up to `max_batch`), advances every in-flight sequence
-//     each iteration — one token per DistributedDecoder::step_batch call,
-//     or up to 1 + max_draft_tokens when a drafter is configured and the
-//     speculative verify round accepts — and requests
-//     join and leave that batch at token granularity — a short completion
-//     never waits for a long batch-mate, and a newly admitted prompt starts
-//     decoding on the next iteration. Each sequence's KV state lives in
-//     per-device paged block pools and is freed the moment the request
-//     completes (or is preempted past its deadline).
+//     batching (Orca-style) on a DistributedDecoder: the dispatcher admits
+//     queued generations into a running batch (up to `max_batch`), advances
+//     every in-flight sequence each iteration — one token per
+//     DistributedDecoder::step_batch call, or up to 1 + max_draft_tokens
+//     when a drafter is configured and the speculative verify round
+//     accepts — and requests join and leave that batch at token
+//     granularity — a short completion never waits for a long batch-mate,
+//     and a newly admitted prompt starts decoding on the next iteration.
+//     Each sequence's KV state lives in per-device paged block pools and is
+//     freed the moment the request completes (or is preempted past its
+//     deadline).
 //
 // Queue-wait, service and total sojourn times are recorded per request, plus
 // time-to-first-token and per-token decode latency for generations, so real
@@ -34,8 +36,10 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <variant>
@@ -49,6 +53,7 @@
 #include "partition/scheme.h"
 #include "runtime/distributed_decoder.h"
 #include "runtime/drafter.h"
+#include "runtime/mesh.h"
 #include "runtime/voltage_runtime.h"
 #include "transformer/model.h"
 
@@ -71,7 +76,8 @@ struct ServerStats {
   // Subset of `failed`: generation requests cut from the running batch
   // because their per-request deadline expired mid-decode.
   std::size_t preempted = 0;
-  // Times the dispatcher rebuilt its runtime after a poisoned transport.
+  // Times the dispatcher rebuilt its mesh (and the runtime and decoder on
+  // it) after a failure poisoned the mesh's transport.
   std::size_t runtime_rebuilds = 0;
   // Largest number of generation requests decoding in one batched step.
   std::size_t batch_peak = 0;
@@ -110,13 +116,13 @@ class InferenceServer {
     // Admission cap of the continuous-batching scheduler: at most this many
     // generation requests decode concurrently; further generations wait in
     // the queue (FIFO among themselves) until a running one completes or is
-    // preempted. 1 degenerates to the PR-5 one-at-a-time dispatcher.
+    // preempted. 1 serves generations one at a time.
     std::size_t max_batch = 8;
     // Intra-op thread budget per device thread. 0 (default) divides the
     // ambient budget (VOLTAGE_THREADS or the core count) evenly across the
     // devices, so a serving cluster uses the whole host; any other value is
-    // forwarded to VoltageRuntime::set_intra_op_threads verbatim. Results
-    // are bitwise identical at every setting.
+    // forwarded to DeviceMesh::set_intra_op_threads verbatim. Results are
+    // bitwise identical at every setting.
     std::size_t device_intra_op_threads = 0;
     // Per-request deadline in seconds (0 = none). Two roles: every blocking
     // receive of a request's inference shares one absolute deadline, so a
@@ -140,11 +146,11 @@ class InferenceServer {
     // landing. Unset (default) = plain single-token stepping.
     std::function<std::unique_ptr<Drafter>()> drafter_factory = {};
     std::size_t max_draft_tokens = 4;
-    // Test hook: builds the runtime's and the decoder's transports
-    // (devices = K workers + the terminal) instead of
-    // make_transport(transport, ...) — the way to inject a ChaosTransport
-    // underneath a request or a serving batch. Called once per runtime or
-    // decoder build, including rebuilds after a mesh failure.
+    // Test hook: builds the mesh's transport (devices = K workers + the
+    // terminal) instead of make_transport(transport, ...) — the way to
+    // inject a ChaosTransport underneath requests and serving batches.
+    // Called once per mesh build: at construction and at each rebuild
+    // after a mesh failure.
     std::function<std::unique_ptr<Transport>(std::size_t devices)>
         transport_factory = {};
     // Optional observability sinks (all non-owning; nullptr = off).
@@ -163,8 +169,8 @@ class InferenceServer {
     Seconds telemetry_period = 1.0;
     std::string telemetry_jsonl_path = {};
     std::string telemetry_prometheus_path = {};
-    // Flight recorder: attached to the runtime and decoder transports (its
-    // ring auto-dumps when a transport is poisoned) and cleared at each
+    // Flight recorder: attached to the mesh's transport (its ring
+    // auto-dumps when the transport is poisoned) and cleared at each
     // scheduler iteration, so a dump holds the wire history of the current
     // batch iteration.
     obs::FlightRecorder* flight_recorder = nullptr;
@@ -188,9 +194,9 @@ class InferenceServer {
   // through a DistributedDecoder the dispatcher keeps across requests —
   // one distributed prefill per request, then O(T) cached steps batched
   // with the other in-flight generations (the result is bitwise identical
-  // to serving alone; see DESIGN.md "Continuous batching"). A mesh failure
-  // fails every generation decoding at that moment and drops the decoder;
-  // queued requests are served by a fresh one.
+  // to serving alone; see DESIGN.md "Continuous batching"). A failure that
+  // poisons the mesh, whichever request hit it, fails every generation
+  // decoding at that moment; queued requests are served on a rebuilt mesh.
   [[nodiscard]] std::future<std::vector<TokenId>> submit_generate(
       std::vector<TokenId> prompt, std::size_t new_tokens);
 
@@ -207,10 +213,10 @@ class InferenceServer {
     return batch_size_.load(std::memory_order_relaxed);
   }
 
-  // The runtime currently serving requests (rebuilt after transport
-  // poisoning — do not cache the reference across failures). Exposed for
-  // configuration and fault-injection tests; touch it only while no request
-  // is in flight.
+  // The runtime currently serving logits requests (rebuilt with the mesh
+  // after a failure — do not cache the reference across failures). Exposed
+  // for configuration and fault-injection tests; touch it only while no
+  // request is in flight.
   [[nodiscard]] VoltageRuntime& runtime() noexcept { return *runtime_; }
 
  private:
@@ -244,27 +250,38 @@ class InferenceServer {
 
   void enqueue(Job job);
   void dispatch_loop();
-  void serve_inline(Job job);
-  // Admission: prefill + first token. True if the request entered the
-  // batch; false if it completed or failed immediately.
-  bool admit_generate(Job job, std::vector<ActiveRequest>& batch);
+  // `batch` is the running batch: a failure that poisons the mesh fails it.
+  void serve_inline(Job job, std::vector<ActiveRequest>& batch);
+  // Admission: prefill + first token. The request joins `batch` unless it
+  // completed or failed at once.
+  void admit_generate(Job job, std::vector<ActiveRequest>& batch);
+  void record_completion(Seconds wait, Seconds service, Seconds sojourn);
   void complete_generate(ActiveRequest& active);
-  void fail_generate(ActiveRequest& active, std::exception_ptr error,
-                     bool release);
-  // Mesh death: fails every in-flight generation with `error` and drops the
-  // decoder so the next admission builds a fresh one.
-  void fail_batch(std::vector<ActiveRequest>& batch, std::exception_ptr error);
+  void fail_generate(ActiveRequest& active, const std::exception_ptr& error);
+  // Completes every lane of `batch` that reached its token target.
+  void retire(std::vector<ActiveRequest>& batch);
+  // A failed decode round: fails every lane of `batch`.
+  void fail_batch(std::vector<ActiveRequest>& batch,
+                  const std::exception_ptr& error);
+  // Returns the KV blocks of requests that left `batch`.
+  void release(std::span<const SlotId> slots,
+               std::vector<ActiveRequest>& batch);
+  // If `error` poisoned the mesh: fails every generation in `batch` with it
+  // and rebuilds the mesh, the runtime and the decoder.
+  void recover(std::vector<ActiveRequest>& batch,
+               const std::exception_ptr& error);
+  // (Re)builds the mesh on a fresh transport, with the runtime and (for a
+  // causal LM) the decoder on it.
+  void build_mesh();
   void telemetry_loop();
   void export_telemetry();
-  [[nodiscard]] std::unique_ptr<Transport> make_fabric() const;
-  [[nodiscard]] std::unique_ptr<VoltageRuntime> make_runtime() const;
-  [[nodiscard]] std::unique_ptr<DistributedDecoder> make_decoder() const;
-  void rebuild_runtime_if_poisoned();
 
   const TransformerModel& model_;
-  Options options_;  // construction parameters, kept for runtime rebuilds
+  Options options_;  // construction parameters, kept for mesh rebuilds
+  // One mesh shared by the runtime and the decoder; the decoder is null
+  // unless the model is a causal LM. Dispatcher-thread only once it runs.
+  std::shared_ptr<DeviceMesh> mesh_;
   std::unique_ptr<VoltageRuntime> runtime_;
-  // Lazily built at the first generation admission; dispatcher-thread only.
   std::unique_ptr<DistributedDecoder> decoder_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -286,11 +303,11 @@ class InferenceServer {
   std::size_t preempted_ = 0;
   std::size_t runtime_rebuilds_ = 0;
   std::size_t batch_peak_ = 0;
-  std::vector<Seconds> waits_;
-  std::vector<Seconds> services_;
-  std::vector<Seconds> sojourns_;
-  std::vector<Seconds> ttfts_;
-  std::vector<Seconds> token_gaps_;
+  obs::Histogram waits_;
+  obs::Histogram services_;
+  obs::Histogram sojourns_;
+  obs::Histogram ttfts_;
+  obs::Histogram token_gaps_;
   std::thread dispatcher_;
 
   // Telemetry sampler (only started when options.telemetry is set).

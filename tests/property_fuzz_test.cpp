@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "collective/collectives.h"
 #include "net/quant_codec.h"
+#include "net/socket_fabric.h"
 #include "partition/flop_model.h"
 #include "quant/quantized_tensor.h"
 #include "partition/partitioned_layer.h"
@@ -307,6 +310,80 @@ TEST_P(Fuzz, DecodeCommandParserRejectsHostileControls) {
   early_step(0, 1) = static_cast<float>(prompt_lens[0] - 1);
   EXPECT_THROW((void)parse_decode_command(early_step, lens, kMaxPositions),
                std::runtime_error);
+}
+
+TEST_P(Fuzz, SocketFrameHeaderRejectsHostileFields) {
+  // A socket reader acts on a frame only through parse_frame_header: a
+  // source other than the socket's peer, or a payload length over the cap,
+  // must throw (naming the peer) before the reader allocates or delivers
+  // anything.
+  const DeviceId peer = rng_.next_below(8);
+  const auto encode = [](const FrameHeader& header) {
+    std::array<std::byte, kWireFrameBytes> bytes{};
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    return bytes;
+  };
+  const FrameHeader valid{.source = peer,
+                          .tag = rng_.next_u64(),
+                          .trace_id = rng_.next_u64(),
+                          .seq = rng_.next_u64(),
+                          .length = rng_.next_below(kMaxFramePayloadBytes + 1)};
+  const FrameHeader decoded = parse_frame_header(encode(valid), peer);
+  EXPECT_EQ(decoded.source, valid.source);
+  EXPECT_EQ(decoded.tag, valid.tag);
+  EXPECT_EQ(decoded.trace_id, valid.trace_id);
+  EXPECT_EQ(decoded.seq, valid.seq);
+  EXPECT_EQ(decoded.length, valid.length);
+
+  // The named attacks: a spoofed source, an over-cap length.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::string peer_name = "device " + std::to_string(peer);
+  const auto expect_rejected = [&](const FrameHeader& bad) {
+    try {
+      (void)parse_frame_header(encode(bad), peer);
+      ADD_FAILURE() << "accepted source " << bad.source << " length "
+                    << bad.length;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string_view(e.what()).find(peer_name),
+                std::string_view::npos)
+          << e.what();
+    }
+  };
+  for (const std::uint64_t source :
+       {peer + 1, peer + 8 + rng_.next_below(1000), kMax,
+        std::uint64_t{1} << 63}) {
+    FrameHeader bad = valid;
+    bad.source = source;
+    expect_rejected(bad);
+  }
+  if (peer > 0) {
+    FrameHeader bad = valid;
+    bad.source = rng_.next_below(peer);
+    expect_rejected(bad);
+  }
+  for (const std::uint64_t length :
+       {kMaxFramePayloadBytes + 1,
+        kMaxFramePayloadBytes + 1 + rng_.next_below(kMaxFramePayloadBytes),
+        std::uint64_t{1} << 40, std::uint64_t{1} << 63, kMax}) {
+    FrameHeader bad = valid;
+    bad.length = length;
+    expect_rejected(bad);
+  }
+
+  // Random byte corruptions either throw or decode within bounds.
+  for (int trial = 0; trial < 256; ++trial) {
+    std::array<std::byte, kWireFrameBytes> bytes = encode(valid);
+    for (std::uint64_t flips = 1 + rng_.next_below(3); flips > 0; --flips) {
+      bytes[rng_.next_below(bytes.size())] =
+          static_cast<std::byte>(rng_.next_below(256));
+    }
+    try {
+      const FrameHeader header = parse_frame_header(bytes, peer);
+      EXPECT_EQ(header.source, peer);
+      EXPECT_LE(header.length, kMaxFramePayloadBytes);
+    } catch (const std::runtime_error&) {
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz,

@@ -2,6 +2,7 @@
 // from multiple submitters, statistics, lifecycle handling, and failure
 // containment (a poisoned runtime must fail one future, not the server).
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -325,6 +326,122 @@ TEST(InferenceServer, TracesQueueWaitAndServicePerRequest) {
   EXPECT_EQ(metrics.counter("server.requests_completed").value(), kRequests);
   EXPECT_EQ(metrics.histogram("server.service_seconds").snapshot().count,
             kRequests);
+}
+
+// --- One mesh per server ----------------------------------------------------
+
+std::vector<TokenId> greedy_reference(const TransformerModel& model,
+                                      const std::vector<TokenId>& prompt,
+                                      std::size_t new_tokens) {
+  IncrementalDecoder reference(model);
+  Tensor logits = reference.prime(prompt);
+  std::vector<TokenId> out;
+  while (out.size() < new_tokens) {
+    out.push_back(static_cast<TokenId>(argmax_row(logits, 0)));
+    if (out.size() < new_tokens) logits = reference.step(out.back());
+  }
+  return out;
+}
+
+// Counts the transports the server builds; every one is a ChaosTransport
+// whose device 1 goes dark after `crash_after` sends (0 = never).
+InferenceServer::Options counted_options(
+    std::shared_ptr<std::atomic<int>> builds, std::uint64_t crash_after) {
+  auto opts = options(2);
+  opts.transport_factory = [builds, crash_after](std::size_t devices) {
+    builds->fetch_add(1);
+    ChaosOptions chaos{.max_delay_seconds = 1e-4, .seed = 61, .crash = {}};
+    if (crash_after > 0) {
+      chaos.crash =
+          ChaosOptions::Crash{.device = 1, .after_sends = crash_after};
+    }
+    return std::unique_ptr<Transport>(new ChaosTransport(
+        make_transport(TransportKind::kInMemory, devices), chaos));
+  };
+  return opts;
+}
+
+TEST(InferenceServer, LogitsAndGenerationsShareOneMesh) {
+  // The runtime and the decoder run on one mesh: one transport for both
+  // kinds of request.
+  const TransformerModel model = make_model(mini_gpt2_spec());
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  InferenceServer server(model, counted_options(builds, 0));
+  const auto prompt = random_tokens(9, model.spec().vocab_size, 41);
+  EXPECT_TRUE(
+      allclose(server.submit(prompt).get(), model.infer(prompt), 2e-3F));
+  EXPECT_EQ(server.submit_generate(prompt, 4).get(),
+            greedy_reference(model, prompt, 4));
+  EXPECT_EQ(builds->load(), 1);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 2U);
+  EXPECT_EQ(stats.runtime_rebuilds, 0U);
+}
+
+TEST(InferenceServer, GenerationCrashRebuildsTheOneMeshForEveryRequestKind) {
+  // Device 1 goes dark mid-generation. The generation fails with the chaos
+  // root cause, the dispatcher rebuilds the one mesh (with the runtime and
+  // the decoder on it) once, and both kinds of request then succeed on the
+  // new mesh, whose crash budget they fit under.
+  const TransformerModel model = make_model(mini_gpt2_spec());
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  InferenceServer server(model, counted_options(builds, 40));
+  const auto prompt = random_tokens(8, model.spec().vocab_size, 43);
+  auto doomed = server.submit_generate(prompt, 30);
+  doomed.wait();  // nothing else is queued until it has failed
+  EXPECT_TRUE(
+      allclose(server.submit(prompt).get(), model.infer(prompt), 2e-3F));
+  EXPECT_EQ(server.submit_generate(prompt, 4).get(),
+            greedy_reference(model, prompt, 4));
+  // Collecting the later requests first means the dispatcher is done with
+  // the doomed request, so this thread holds the last reference to its
+  // error (ThreadSanitizer cannot see the uninstrumented exception
+  // refcount across threads).
+  try {
+    (void)doomed.get();
+    FAIL() << "30 tokens cannot fit under the 40-send crash budget";
+  } catch (const std::runtime_error& e) {
+    const std::string_view what(e.what());
+    EXPECT_NE(what.find("seed=61"), std::string_view::npos) << what;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.failed, 1U);
+  EXPECT_EQ(stats.completed, 2U);
+  EXPECT_EQ(stats.runtime_rebuilds, 1U);
+  EXPECT_EQ(builds->load(), 2);
+}
+
+TEST(InferenceServer, LogitsRequestThatPoisonsTheMeshFailsInFlightGenerations) {
+  // A logits request's receives time out mid-prefill and poison the one
+  // mesh: the generation decoding on it fails with the same root cause,
+  // and queued requests run on the rebuilt mesh.
+  ModelSpec spec = mini_gpt2_spec();
+  spec.max_positions = 8192;  // room for a generation that outlives it
+  const TransformerModel model(spec, 1);
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  InferenceServer server(model, counted_options(builds, 0));
+  // A deadline no prefill can meet; the rebuilt runtime gets the options'
+  // (none) back.
+  server.runtime().set_recv_timeout(1e-9);
+  const auto prompt = random_tokens(8, spec.vocab_size, 71);
+  auto generation = server.submit_generate(prompt, 4000);
+  while (server.batch_occupancy() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto doomed = server.submit(prompt);
+  EXPECT_TRUE(
+      allclose(server.submit(prompt).get(), model.infer(prompt), 2e-3F));
+  EXPECT_EQ(server.submit_generate(prompt, 4).get(),
+            greedy_reference(model, prompt, 4));
+  // The later requests were collected first, so this thread holds the last
+  // references to the shared error (see above).
+  EXPECT_THROW((void)doomed.get(), RecvTimeoutError);
+  EXPECT_THROW((void)generation.get(), RecvTimeoutError);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.failed, 2U);
+  EXPECT_EQ(stats.completed, 2U);
+  EXPECT_EQ(stats.runtime_rebuilds, 1U);
+  EXPECT_EQ(builds->load(), 2);
 }
 
 }  // namespace
