@@ -6,10 +6,13 @@
 // batch — versus tensor parallelism's per-sample activation syncs.
 //
 // Task: classify synthetic sequences by which half of the feature space
-// carries the signal. Loss must fall; replicas must stay bit-identical.
+// carries the signal. Loss must fall and replicas must stay bit-identical:
+// the run exits 1 otherwise.
 //
 //   ./build/examples/distributed_training
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -97,6 +100,23 @@ StepResult grads_for_sample(const TransformerLayer& layer,
                     .dhead_b = bias_grad(loss.dlogits)};
 }
 
+// Every parameter tensor one replica holds: its layer's weights, then its
+// head.
+std::vector<const Tensor*> parameters(const TransformerLayer& layer,
+                                      const Tensor& head_w,
+                                      const Tensor& head_b) {
+  const LayerWeights& w = layer.weights();
+  std::vector<const Tensor*> all;
+  for (const HeadWeights& head : w.attention.heads) {
+    all.insert(all.end(), {&head.wq, &head.wk, &head.wv});
+  }
+  all.insert(all.end(),
+             {&w.attention.wo, &w.attention.bo, &w.ln_attention.gamma,
+              &w.ln_attention.beta, &w.ffn.w1, &w.ffn.b1, &w.ffn.w2,
+              &w.ffn.b2, &w.ln_ffn.gamma, &w.ln_ffn.beta, &head_w, &head_b});
+  return all;
+}
+
 }  // namespace
 
 int main() {
@@ -118,6 +138,8 @@ int main() {
   std::printf("data-parallel training: %zu devices, 1 sample each per "
               "step, gradient ring all-reduce per step\n\n",
               kDevices);
+  float first_loss = 0.0F;
+  float last_loss = 0.0F;
   for (int step = 0; step < kSteps; ++step) {
     std::vector<float> losses(kDevices);
     std::vector<std::thread> threads;
@@ -159,21 +181,44 @@ int main() {
     float mean_loss = 0.0F;
     for (const float l : losses) mean_loss += l;
     mean_loss /= static_cast<float>(kDevices);
+    if (step == 0) first_loss = mean_loss;
+    last_loss = mean_loss;
     if (step % 4 == 0 || step + 1 == kSteps) {
       std::printf("  step %2d: mean loss %.4f\n", step, mean_loss);
     }
   }
 
-  // Replicas must have stayed in lockstep (identical updates everywhere).
-  const float drift =
-      max_abs_diff(layers[0].weights().ffn.w1, layers[1].weights().ffn.w1);
-  std::printf("\nreplica weight drift after %d steps: %g (ring all-reduce "
-              "keeps every device's sum bit-identical)\n",
-              kSteps, drift);
+  // Replicas must have stayed in lockstep (identical updates everywhere):
+  // every parameter of every replica bit-identical to replica 0's.
+  const auto reference = parameters(layers[0], head_w[0], head_b[0]);
+  float drift = 0.0F;
+  bool lockstep = true;
+  for (std::size_t d = 1; d < kDevices; ++d) {
+    const auto replica = parameters(layers[d], head_w[d], head_b[d]);
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      drift = std::max(drift, max_abs_diff(*reference[i], *replica[i]));
+      lockstep = lockstep && std::memcmp(reference[i]->data(),
+                                         replica[i]->data(),
+                                         reference[i]->byte_size()) == 0;
+    }
+  }
+  std::printf("\nreplica weight drift after %d steps: %g over %zu tensors "
+              "per replica (ring all-reduce keeps every device's sum "
+              "bit-identical)\n",
+              kSteps, drift, reference.size());
   const auto traffic = fabric.total_stats();
   std::printf("gradient sync traffic: %.1f KiB over %llu messages "
               "(independent of batch size)\n",
               static_cast<double>(traffic.bytes_sent) / 1024.0,
               static_cast<unsigned long long>(traffic.messages_sent));
+  if (!lockstep) {
+    std::fprintf(stderr, "replicas diverged\n");
+    return 1;
+  }
+  if (!(last_loss < first_loss)) {
+    std::fprintf(stderr, "mean loss did not fall: %.4f -> %.4f\n",
+                 first_loss, last_loss);
+    return 1;
+  }
   return 0;
 }

@@ -49,7 +49,7 @@ struct ChaosOptions {
     DeviceId device = 0;
     std::uint64_t after_sends = 0;
   };
-  std::optional<Crash> crash;
+  std::optional<Crash> crash{};
 };
 
 // Fault accounting, for tests that assert the injected faults actually fired.

@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/thread_pool.h"
@@ -126,8 +127,7 @@ DeviceMesh::DeviceMesh(std::unique_ptr<Transport> transport,
   (void)DeviceThreads::shared();
 }
 
-void DeviceMesh::set_tracer(obs::Tracer* tracer,
-                            const std::string& device_name) {
+void DeviceMesh::set_tracer(obs::Tracer* tracer) {
   // Jobs still finishing an earlier call write to the tracer they were
   // posted with; let them finish before it can be destroyed.
   drain();
@@ -135,7 +135,7 @@ void DeviceMesh::set_tracer(obs::Tracer* tracer,
   if (tracer == nullptr) return;
   for (std::size_t i = 0; i < devices(); ++i) {
     tracer->set_track_name(static_cast<obs::TrackId>(i),
-                           device_name + " " + std::to_string(i));
+                           "device " + std::to_string(i));
   }
   tracer->set_track_name(static_cast<obs::TrackId>(terminal()), "terminal");
 }

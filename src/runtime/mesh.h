@@ -32,7 +32,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "net/transport.h"
@@ -69,12 +68,10 @@ class DeviceMesh {
   // Run context, set between calls; a job keeps the one it was posted with.
 
   // Attaches a span tracer (nullptr detaches — the default) and names
-  // device i's track "<device_name> i" and the terminal's "terminal". Waits
-  // for every posted job first, so the previous tracer may be destroyed
-  // once it returns; an attached tracer must outlive the mesh or be
-  // detached.
-  void set_tracer(obs::Tracer* tracer,
-                  const std::string& device_name = "device");
+  // device i's track "device i" and the terminal's "terminal". Waits for
+  // every posted job first, so the previous tracer may be destroyed once it
+  // returns; an attached tracer must outlive the mesh or be detached.
+  void set_tracer(obs::Tracer* tracer);
   [[nodiscard]] obs::Tracer* tracer() const noexcept {
     return context_.tracer;
   }

@@ -23,11 +23,10 @@
 //
 // Queue-wait, service and total sojourn times are recorded per request, plus
 // time-to-first-token and per-token decode latency for generations, so real
-// deployments can be compared against the queueing simulation in
-// sim/serving.h; attach an obs::Tracer to see each request's queue_wait and
-// service spans (with request ids) on the serving track of the trace, next
-// to the batch-size-annotated decode.step spans the decoder emits while
-// serving it.
+// deployments can be compared against the fleet simulation in sim/fleet.h;
+// attach an obs::Tracer to see each request's queue_wait and service spans
+// (with request ids) on the serving track of the trace, next to the
+// batch-size-annotated decode.step spans the decoder emits while serving it.
 #pragma once
 
 #include <atomic>

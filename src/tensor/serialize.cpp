@@ -1,5 +1,6 @@
 #include "tensor/serialize.h"
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -75,15 +76,20 @@ void copy_body(void* dst, const void* src, std::size_t bytes) {
 }
 
 // Dequantize a quantized wire body (rows float32 scales, then rows*cols
-// int8) into rows*cols floats at `dst` (contiguous, row-major).
+// int8) into rows*cols floats at `dst` (contiguous, row-major). A NaN or
+// infinite scale throws: the encoder never writes one for a finite row.
 void dequantize_body(std::span<const std::byte> data, float* dst,
-                     std::size_t rows, std::size_t cols) {
+                     std::size_t rows, std::size_t cols, const char* who) {
   const std::byte* scale_bytes = data.data();
   const auto* q =
       reinterpret_cast<const std::int8_t*>(data.data() + rows * sizeof(float));
   for (std::size_t r = 0; r < rows; ++r) {
     float scale = 0.0F;
     std::memcpy(&scale, scale_bytes + r * sizeof(float), sizeof(float));
+    if (!std::isfinite(scale)) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": non-finite row scale");
+    }
     const std::int8_t* row = q + r * cols;
     float* out = dst + r * cols;
     for (std::size_t c = 0; c < cols; ++c) {
@@ -121,7 +127,8 @@ Tensor tensor_from_bytes(std::span<const std::byte> bytes) {
   Tensor t(shape.rows, shape.cols);
   const auto data = bytes.subspan(kTensorWireHeaderBytes);
   if (shape.quantized) {
-    dequantize_body(data, t.data(), shape.rows, shape.cols);
+    dequantize_body(data, t.data(), shape.rows, shape.cols,
+                    "tensor_from_bytes");
   } else {
     copy_body(t.data(), data.data(), t.byte_size());
   }
@@ -133,7 +140,8 @@ Tensor tensor_from_payload(const Payload& payload) {
       parse_wire_header(payload.head(), payload.size(), "tensor_from_payload");
   Tensor t(shape.rows, shape.cols);
   if (shape.quantized) {
-    dequantize_body(payload_data(payload), t.data(), shape.rows, shape.cols);
+    dequantize_body(payload_data(payload), t.data(), shape.rows, shape.cols,
+                    "tensor_from_payload");
   } else {
     copy_body(t.data(), payload_data(payload).data(), t.byte_size());
   }
@@ -153,7 +161,7 @@ WireShape deserialize_into(const Payload& payload, Tensor& dst,
   }
   if (shape.quantized) {
     dequantize_body(payload_data(payload), dst.data() + row_begin * dst.cols(),
-                    shape.rows, shape.cols);
+                    shape.rows, shape.cols, "deserialize_into");
   } else {
     copy_body(dst.data() + row_begin * dst.cols(),
               payload_data(payload).data(),

@@ -66,7 +66,8 @@ struct WireShape {
 
 // Throws std::invalid_argument on malformed input. Hardened against headers
 // whose rows*cols (or total byte size) overflows — a hostile header can
-// never bypass the size check by wrapping the element count.
+// never bypass the size check by wrapping the element count — and against
+// NaN or infinite int8 row scales.
 [[nodiscard]] Tensor tensor_from_bytes(std::span<const std::byte> bytes);
 
 // Same, reading a fabric payload in either representation (owned or view).

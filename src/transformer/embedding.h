@@ -10,7 +10,6 @@
 
 #include "tensor/tensor.h"
 #include "transformer/image.h"
-#include "transformer/weights.h"
 
 namespace voltage {
 
@@ -45,11 +44,6 @@ class TokenEmbedding {
     return table_.size() + positions_.size();
   }
 
-  void visit_parameters(const std::string& prefix, const ParamVisitor& visit) {
-    visit(prefix + ".table", table_);
-    visit(prefix + ".positions", positions_);
-  }
-
  private:
   Tensor table_;      // vocab x F
   Tensor positions_;  // max_positions x F
@@ -68,12 +62,6 @@ class PatchEmbedding {
   [[nodiscard]] std::size_t sequence_length() const noexcept;
   [[nodiscard]] std::size_t parameter_count() const noexcept {
     return projection_.size() + cls_token_.size() + positions_.size();
-  }
-
-  void visit_parameters(const std::string& prefix, const ParamVisitor& visit) {
-    visit(prefix + ".projection", projection_);
-    visit(prefix + ".cls_token", cls_token_);
-    visit(prefix + ".positions", positions_);
   }
 
  private:

@@ -4,7 +4,6 @@
 #pragma once
 
 #include "tensor/tensor.h"
-#include "transformer/weights.h"
 
 namespace voltage {
 
@@ -30,11 +29,6 @@ class ClassifierHead {
     return w_.size() + b_.size();
   }
 
-  void visit_parameters(const std::string& prefix, const ParamVisitor& visit) {
-    visit(prefix + ".w", w_);
-    visit(prefix + ".b", b_);
-  }
-
  private:
   Pooling pooling_;
   Tensor w_;  // F x num_classes
@@ -57,10 +51,6 @@ class LmHead {
   [[nodiscard]] std::size_t vocab_size() const noexcept { return w_.cols(); }
   [[nodiscard]] std::size_t parameter_count() const noexcept {
     return w_.size();
-  }
-
-  void visit_parameters(const std::string& prefix, const ParamVisitor& visit) {
-    visit(prefix + ".w", w_);
   }
 
  private:

@@ -23,7 +23,7 @@ class TransformerLayer {
   [[nodiscard]] const LayerWeights& weights() const noexcept {
     return weights_;
   }
-  // Mutable access for checkpoint loading (transformer/model_io.h).
+  // Mutable access for training updates (train/sgd.h applies SGD through it).
   [[nodiscard]] LayerWeights& mutable_weights() noexcept { return weights_; }
 
  private:

@@ -91,21 +91,6 @@ Tensor TransformerModel::infer(const Image& image) const {
   return postprocess(forward_layers(preprocess(image)));
 }
 
-void TransformerModel::visit_parameters(const ParamVisitor& visit) {
-  if (token_embedding_) {
-    token_embedding_->visit_parameters("embedding.token", visit);
-  }
-  if (patch_embedding_) {
-    patch_embedding_->visit_parameters("embedding.patch", visit);
-  }
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    visit_layer_weights(layers_[l].mutable_weights(),
-                        "layer." + std::to_string(l), visit);
-  }
-  if (classifier_) classifier_->visit_parameters("head.classifier", visit);
-  if (lm_head_) lm_head_->visit_parameters("head.lm", visit);
-}
-
 std::size_t TransformerModel::parameter_count() const {
   std::size_t n = 0;
   if (token_embedding_) n += token_embedding_->parameter_count();

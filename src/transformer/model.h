@@ -53,10 +53,6 @@ class TransformerModel {
 
   [[nodiscard]] std::size_t parameter_count() const;
 
-  // Visits every parameter tensor with a stable hierarchical name — the
-  // basis for save_model / load_model (transformer/model_io.h).
-  void visit_parameters(const ParamVisitor& visit);
-
  private:
   ModelSpec spec_;
   std::optional<TokenEmbedding> token_embedding_;

@@ -49,24 +49,4 @@ LayerWeights init_layer_weights(const LayerConfig& config, Rng& rng) {
   return w;
 }
 
-void visit_layer_weights(LayerWeights& weights, const std::string& prefix,
-                         const ParamVisitor& visit) {
-  for (std::size_t h = 0; h < weights.attention.heads.size(); ++h) {
-    const std::string head = prefix + ".attention.head." + std::to_string(h);
-    visit(head + ".wq", weights.attention.heads[h].wq);
-    visit(head + ".wk", weights.attention.heads[h].wk);
-    visit(head + ".wv", weights.attention.heads[h].wv);
-  }
-  visit(prefix + ".attention.wo", weights.attention.wo);
-  visit(prefix + ".attention.bo", weights.attention.bo);
-  visit(prefix + ".ln_attention.gamma", weights.ln_attention.gamma);
-  visit(prefix + ".ln_attention.beta", weights.ln_attention.beta);
-  visit(prefix + ".ffn.w1", weights.ffn.w1);
-  visit(prefix + ".ffn.b1", weights.ffn.b1);
-  visit(prefix + ".ffn.w2", weights.ffn.w2);
-  visit(prefix + ".ffn.b2", weights.ffn.b2);
-  visit(prefix + ".ln_ffn.gamma", weights.ln_ffn.gamma);
-  visit(prefix + ".ln_ffn.beta", weights.ln_ffn.beta);
-}
-
 }  // namespace voltage

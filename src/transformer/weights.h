@@ -6,8 +6,6 @@
 // output projection W_O and the FFN keep theirs.
 #pragma once
 
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -54,14 +52,5 @@ class Rng;
 // Deterministic random initialization matching the shapes of `config`.
 [[nodiscard]] LayerWeights init_layer_weights(const LayerConfig& config,
                                               Rng& rng);
-
-// Named visitation over every parameter tensor — the hook checkpointing
-// (transformer/model_io.h) is built on. Names are hierarchical, e.g.
-// "<prefix>.attention.head.2.wq".
-using ParamVisitor =
-    std::function<void(const std::string& name, Tensor& tensor)>;
-
-void visit_layer_weights(LayerWeights& weights, const std::string& prefix,
-                         const ParamVisitor& visit);
 
 }  // namespace voltage

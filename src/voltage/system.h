@@ -14,15 +14,11 @@
 //   auto logits = system.infer(tokens);
 #pragma once
 
-#include <optional>
 #include <span>
 
 #include "parallel/latency_model.h"
-#include "parallel/pipeline.h"
 #include "partition/order.h"
 #include "partition/scheme.h"
-#include "runtime/pipeline_runtime.h"
-#include "runtime/tensor_parallel_runtime.h"
 #include "runtime/voltage_runtime.h"
 #include "sim/cluster.h"
 #include "transformer/model.h"
@@ -30,72 +26,37 @@
 
 namespace voltage {
 
-// Which distribution strategy serves the requests. All three produce the
-// same logits; they differ in communication pattern and latency (see the
-// bench/ comparisons).
-enum class Strategy : std::uint8_t {
-  kVoltage,         // position partition, one all-gather per layer (default)
-  kTensorParallel,  // Megatron-style weight split, two all-reduces per layer
-  kPipeline,        // contiguous layer stages
-};
-
 struct SystemOptions {
   PartitionScheme scheme = PartitionScheme::even(1);
   OrderPolicy policy = OrderPolicy::kAdaptive;
-  Strategy strategy = Strategy::kVoltage;
   TransportKind transport = TransportKind::kInMemory;
 };
 
 class System {
  public:
   System(TransformerModel model, SystemOptions options)
-      : model_(std::move(model)), options_(std::move(options)) {
-    const std::size_t devices = options_.scheme.devices();
-    switch (options_.strategy) {
-      case Strategy::kVoltage:
-        voltage_.emplace(model_, options_.scheme, options_.policy,
-                         options_.transport);
-        break;
-      case Strategy::kTensorParallel:
-        tensor_parallel_.emplace(model_, devices, options_.transport);
-        break;
-      case Strategy::kPipeline:
-        pipeline_.emplace(model_, devices, options_.transport);
-        break;
-    }
-  }
+      : model_(std::move(model)),
+        options_(std::move(options)),
+        runtime_(model_, options_.scheme, options_.policy,
+                 options_.transport) {}
+
+  // The runtime holds a reference to model_, so a System never moves.
+  System(const System&) = delete;
+  System& operator=(const System&) = delete;
 
   [[nodiscard]] Tensor infer(std::span<const TokenId> tokens) {
-    if (voltage_) return voltage_->infer(tokens);
-    if (tensor_parallel_) return tensor_parallel_->infer(tokens);
-    return pipeline_->infer(tokens);
+    return runtime_.infer(tokens);
   }
   [[nodiscard]] Tensor infer(const Image& image) {
-    if (voltage_) return voltage_->infer(image);
-    if (tensor_parallel_) return tensor_parallel_->infer(image);
-    return pipeline_->infer(image);
+    return runtime_.infer(image);
   }
 
-  // Predicted end-to-end latency of this deployment (same strategy and
-  // scheme) on `cluster` for an input of length `n` (0 = the paper's
+  // Predicted end-to-end latency of this deployment (same scheme and order
+  // policy) on `cluster` for an input of length `n` (0 = the paper's
   // workload length for this model).
   [[nodiscard]] LatencyReport estimate_latency(const sim::Cluster& cluster,
                                                std::size_t n = 0) const {
     const std::size_t seq = n == 0 ? paper_sequence_length(model_.spec()) : n;
-    switch (options_.strategy) {
-      case Strategy::kTensorParallel:
-        return simulate_tensor_parallel(model_.spec(), seq, cluster);
-      case Strategy::kPipeline: {
-        const PipelineReport pipe =
-            simulate_pipeline(model_.spec(), seq, cluster);
-        LatencyReport report;
-        report.total = pipe.request_latency;
-        report.devices = pipe.stages;
-        return report;
-      }
-      case Strategy::kVoltage:
-        break;
-    }
     return simulate_voltage(model_.spec(), seq, cluster, options_.scheme,
                             options_.policy);
   }
@@ -107,18 +68,13 @@ class System {
     return options_;
   }
   [[nodiscard]] TrafficStats traffic() const {
-    if (voltage_) return voltage_->fabric().total_stats();
-    if (tensor_parallel_) return tensor_parallel_->fabric().total_stats();
-    return pipeline_->fabric().total_stats();
+    return runtime_.fabric().total_stats();
   }
 
  private:
   TransformerModel model_;
   SystemOptions options_;
-  // Exactly one engaged, per options_.strategy.
-  std::optional<VoltageRuntime> voltage_;
-  std::optional<TensorParallelRuntime> tensor_parallel_;
-  std::optional<PipelineRuntime> pipeline_;
+  VoltageRuntime runtime_;
 };
 
 }  // namespace voltage

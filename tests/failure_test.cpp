@@ -2,7 +2,7 @@
 // descriptive exception on the caller — never as a hang. The mechanism under
 // test is transport poisoning (Transport::close unblocks every pending and
 // future operation with TransportClosedError) plus optional recv deadlines,
-// exercised from the transport level up through all three runtimes.
+// exercised from the transport level up through the runtimes.
 //
 // Every test here must finish in bounded time; a regression in the
 // containment layer shows up as a ctest timeout, not a wrong value.
@@ -17,7 +17,6 @@
 #include "net/chaos.h"
 #include "net/transport.h"
 #include "partition/schedule.h"
-#include "runtime/pipeline_runtime.h"
 #include "runtime/tensor_parallel_runtime.h"
 #include "runtime/voltage_runtime.h"
 #include "tensor/ops.h"
@@ -271,25 +270,6 @@ TEST(Failure, ChaosDropWithDeadlineTimesOutInsteadOfHanging) {
   // Deadline is shared and absolute: well under a minute even with all
   // messages dropped.
   EXPECT_LT(seconds_since(start), 60.0);
-}
-
-TEST(Failure, PipelineRuntimeContainsCrashedStage) {
-  const TransformerModel model = make_model(mini_bert_spec());
-  auto chaos = std::make_unique<ChaosTransport>(
-      make_transport(TransportKind::kInMemory, 3),
-      ChaosOptions{.max_delay_seconds = 1e-4,
-                   .seed = 3,
-                   .crash = ChaosOptions::Crash{.device = 0,
-                                                .after_sends = 1}});
-  PipelineRuntime runtime(model, 2, std::move(chaos));
-  std::vector<InferenceInput> requests;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    requests.emplace_back(random_tokens(8, model.spec().vocab_size, seed));
-  }
-  const auto start = Clock::now();
-  EXPECT_THROW((void)runtime.infer_batch(requests), TransportClosedError);
-  EXPECT_LT(seconds_since(start), 60.0);
-  EXPECT_TRUE(runtime.fabric().closed());
 }
 
 TEST(Failure, TensorParallelRuntimeContainsCrashedDevice) {

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <limits>
 #include <string_view>
+#include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -21,7 +23,6 @@
 #include "runtime/distributed_decoder.h"
 #include "runtime/voltage_runtime.h"
 #include "sim/netsim.h"
-#include "tensor/archive.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "tensor/serialize.h"
@@ -208,22 +209,156 @@ TEST_P(Fuzz, FasterLinkNeverSlowsCollectives) {
   for (std::size_t i = 0; i < k; ++i) EXPECT_LE(d_fast[i], d_slow[i]);
 }
 
-TEST_P(Fuzz, ArchiveRoundTripsRandomContents) {
-  TensorArchive archive;
-  const std::size_t entries = 1 + rng_.next_below(6);
-  for (std::size_t i = 0; i < entries; ++i) {
-    archive.put("entry." + std::to_string(rng_.next_u64() % 1000),
-                rng_.normal_tensor(rng_.next_below(8), 1 + rng_.next_below(8),
-                                   1.0F));
+TEST_P(Fuzz, TensorWireHeaderRejectsHostileBytes) {
+  // Every fp32 and int8 tensor payload is decoded through one header parser
+  // and, for int8, one dequantizer. Random row and column words, products
+  // and byte sizes that overflow 64 bits, lengths off the implied size and
+  // non-finite row scales must throw std::invalid_argument naming the
+  // decode path; whatever decodes has exactly the shape its header claims.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kMaxBytes = 1 << 14;  // largest buffer built here
+  constexpr std::size_t kHead = kTensorWireHeaderBytes;
+
+  // Runs `bytes` through tensor_from_bytes, and through tensor_from_payload
+  // and deserialize_into (into `dst` at `row_begin`) over an owned and a
+  // borrowed payload. `accept` says whether each must decode.
+  const auto decode_everywhere = [](const std::vector<std::byte>& bytes,
+                                    std::uint64_t rows, std::uint64_t cols,
+                                    bool accept, Tensor& dst,
+                                    std::size_t row_begin) {
+    const auto expect = [&](const char* path, const auto& decode) {
+      try {
+        const auto [got_rows, got_cols] = decode();
+        EXPECT_TRUE(accept) << path << " accepted " << rows << " x " << cols
+                            << " in " << bytes.size() << " bytes";
+        EXPECT_EQ(got_rows, rows) << path;
+        EXPECT_EQ(got_cols, cols) << path;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_FALSE(accept) << path << " rejected a valid payload: "
+                             << e.what();
+        EXPECT_NE(std::string_view(e.what()).find(path),
+                  std::string_view::npos)
+            << e.what();
+      }
+    };
+    expect("tensor_from_bytes", [&] {
+      const Tensor t = tensor_from_bytes(bytes);
+      return std::pair<std::uint64_t, std::uint64_t>{t.rows(), t.cols()};
+    });
+    std::vector<Payload> payloads{Payload(bytes)};
+    if (bytes.size() >= kHead) {
+      std::array<std::byte, Payload::kInlineHeaderCapacity> head{};
+      std::memcpy(head.data(), bytes.data(), kHead);
+      payloads.push_back(Payload::view(
+          head, kHead, std::span(bytes).subspan(kHead), nullptr));
+    }
+    for (const Payload& payload : payloads) {
+      expect("tensor_from_payload", [&] {
+        const Tensor t = tensor_from_payload(payload);
+        return std::pair<std::uint64_t, std::uint64_t>{t.rows(), t.cols()};
+      });
+      expect("deserialize_into", [&] {
+        const WireShape shape = deserialize_into(payload, dst, row_begin);
+        return std::pair{shape.rows, shape.cols};
+      });
+    }
+  };
+
+  // `total` bytes: the header (truncated if short), then a random body.
+  const auto wire_bytes = [&](std::uint64_t rows, std::uint64_t cols,
+                              bool quantized, std::uint64_t total) {
+    std::vector<std::byte> bytes(total);
+    for (std::byte& b : bytes) b = static_cast<std::byte>(rng_.next_below(256));
+    std::array<std::byte, kHead> head{};
+    const std::uint64_t cols_word = quantized ? cols | kQuantColsFlag : cols;
+    std::memcpy(head.data(), &rows, sizeof(rows));
+    std::memcpy(head.data() + sizeof(rows), &cols_word, sizeof(cols_word));
+    std::copy_n(head.begin(), std::min<std::uint64_t>(total, kHead),
+                bytes.begin());
+    return bytes;
+  };
+
+  // Small, plausible, powers of two (whose products wrap) and anything.
+  const auto word = [&]() -> std::uint64_t {
+    switch (rng_.next_below(4)) {
+      case 0: return rng_.next_below(9);
+      case 1: return 1 + rng_.next_below(128);
+      case 2: return std::uint64_t{1} << rng_.next_below(64);
+      default: return rng_.next_u64();
+    }
+  };
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 512; ++trial) {
+    const bool quantized = rng_.next_below(2) == 0;
+    const std::uint64_t rows = word();
+    const std::uint64_t cols = word() & ~kQuantColsFlag;
+    // The exact wire size (kMax when it does not fit in 64 bits), and the
+    // size a computation that wraps would get.
+    const std::uint64_t per_row =
+        quantized ? sizeof(float) + cols : sizeof(float) * cols;
+    const bool fits =
+        rows == 0 || ((quantized || cols <= kMax / sizeof(float)) &&
+                      (per_row == 0 || rows <= (kMax - kHead) / per_row));
+    const std::uint64_t implied = fits ? kHead + rows * per_row : kMax;
+    const std::uint64_t wrapped =
+        quantized ? kHead + rows * sizeof(float) + rows * cols
+                  : kHead + rows * cols * sizeof(float);
+    std::uint64_t total = implied;
+    switch (rng_.next_below(4)) {
+      case 0: break;
+      case 1: total = wrapped; break;
+      case 2: total = implied + 1 + rng_.next_below(8); break;
+      default: total = implied - 1 - rng_.next_below(8); break;
+    }
+    if (total > kMaxBytes) total = rng_.next_below(kMaxBytes + 1);
+
+    std::vector<std::byte> bytes = wire_bytes(rows, cols, quantized, total);
+    const bool accept = total == implied;
+    if (quantized && accept) {
+      for (std::uint64_t r = 0; r < rows; ++r) {  // finite row scales
+        const float scale = 1e-3F + rng_.next_uniform();
+        std::memcpy(bytes.data() + kHead + r * sizeof(float), &scale,
+                    sizeof(scale));
+      }
+    }
+    std::size_t row_begin = 0;
+    Tensor dst(1 + rng_.next_below(4), cols < 64 ? cols : 4);
+    if (accept) {
+      // A size-valid header with rows > 0 bounds rows * cols; with no rows
+      // the column word is unbounded, so no padding rows are allocated.
+      row_begin = rows != 0 && rows < 64 ? rng_.next_below(3) : 0;
+      dst = Tensor(row_begin + rows, cols);
+    }
+    decode_everywhere(bytes, rows, cols, accept, dst, row_begin);
+    ++(accept ? accepted : rejected);
   }
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("voltage_fuzz_" + std::to_string(GetParam()) + ".vlta");
-  archive.save(path);
-  const TensorArchive loaded = TensorArchive::load(path);
-  std::filesystem::remove(path);
-  ASSERT_EQ(loaded.size(), archive.size());
-  for (const auto& [name, tensor] : archive.entries()) {
-    EXPECT_EQ(loaded.get(name), tensor);
+  EXPECT_GT(accepted, 0U);
+  EXPECT_GT(rejected, 0U);
+
+  // The named attacks. Headers whose size wraps to a bare header: rows *
+  // cols * 4 = 2^64 (fp32), rows * cols = 2^64, and rows * 4 = 2^64 (int8).
+  Tensor unused(1, 1);
+  for (const auto& [rows, cols, quantized] :
+       {std::tuple{std::uint64_t{1} << 62, std::uint64_t{4}, false},
+        std::tuple{std::uint64_t{1} << 32, std::uint64_t{1} << 32, false},
+        std::tuple{std::uint64_t{1} << 62, std::uint64_t{0}, true}}) {
+    decode_everywhere(wire_bytes(rows, cols, quantized, kHead), rows, cols,
+                      false, unused, 0);
+  }
+  // A NaN, +Inf or -Inf row scale in an otherwise valid int8 payload.
+  const Tensor t = rng_.normal_tensor(1 + rng_.next_below(6),
+                                      1 + rng_.next_below(12), 2.0F);
+  const std::vector<std::byte> valid = quantized_payload(t).flatten();
+  Tensor dst(t.rows(), t.cols());
+  decode_everywhere(valid, t.rows(), t.cols(), true, dst, 0);
+  for (const float scale : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+    std::vector<std::byte> bad = valid;
+    std::memcpy(bad.data() + kHead + rng_.next_below(t.rows()) * sizeof(float),
+                &scale, sizeof(scale));
+    decode_everywhere(bad, t.rows(), t.cols(), false, dst, 0);
   }
 }
 

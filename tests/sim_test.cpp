@@ -1,15 +1,15 @@
 // Tests of the discrete-event engine and the network simulator, including
 // cross-validation against the closed-form collective costs in the
 // homogeneous case, plus the fleet-scale serving stack: RNG sampling
-// hygiene, percentile-convention consistency with obs::Histogram, traffic
-// generators, the calibrated mesh model, and the fleet simulator.
+// hygiene, an M/D/1 check against queueing theory, traffic generators, the
+// calibrated mesh model, and the fleet simulator.
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "collective/cost.h"
-#include "obs/metrics.h"
 #include "parallel/latency_model.h"
 #include "sim/cluster.h"
 #include "sim/device.h"
@@ -17,7 +17,6 @@
 #include "sim/fleet.h"
 #include "sim/mesh_model.h"
 #include "sim/netsim.h"
-#include "sim/serving.h"
 #include "sim/traffic.h"
 #include "tensor/rng.h"
 
@@ -236,59 +235,34 @@ TEST(Rng, SampleExponentialMatchesRateAndValidates) {
   EXPECT_THROW((void)sample_exponential(rng, 0.0), std::invalid_argument);
 }
 
-// --- percentile convention ---------------------------------------------------
-
-TEST(Percentiles, SimSummaryBitIdenticalToObsHistogram) {
-  // Same samples through the simulator's summary and obs::Histogram must
-  // agree bit for bit — one nearest-rank helper serves both. Awkward n
-  // values are exactly where floor(q*(n-1)) and ceil(q*n)-1 diverged.
-  for (const std::size_t n : {1UL, 3UL, 10UL, 99UL, 100UL, 101UL, 1237UL}) {
-    Rng rng(n);
-    std::vector<double> samples(n);
-    obs::Histogram hist;
-    for (double& s : samples) {
-      s = rng.next_uniform_double() * 10.0;
-      hist.record(s);
-    }
-    const ServingReport rep = summarize_samples(samples);
-    const obs::HistogramSnapshot snap = hist.snapshot();
-    EXPECT_EQ(rep.p50, snap.p50) << "n=" << n;
-    EXPECT_EQ(rep.p95, snap.p95) << "n=" << n;
-    EXPECT_EQ(rep.p99, snap.p99) << "n=" << n;
-    EXPECT_EQ(rep.max, snap.max) << "n=" << n;
-    EXPECT_DOUBLE_EQ(rep.mean, snap.mean) << "n=" << n;
-  }
-}
-
-TEST(Percentiles, NearestRankExactSmallN) {
-  // n = 10: p95 must be the 10th order statistic (rank ceil(9.5) = 10),
-  // not index floor(0.95*9) = 8.
-  std::vector<double> ten;
-  obs::Histogram hist;
-  for (int i = 1; i <= 10; ++i) {
-    ten.push_back(i);
-    hist.record(i);
-  }
-  const ServingReport rep = summarize_samples(ten);
-  EXPECT_EQ(rep.p50, 5.0);
-  EXPECT_EQ(rep.p95, 10.0);
-  EXPECT_EQ(rep.p99, 10.0);
-  EXPECT_EQ(hist.snapshot().p95, 10.0);
-}
-
-// --- single-queue serving model against theory ------------------------------
+// --- single-queue serving against theory ------------------------------------
 
 TEST(Serving, MD1MeanSojournMatchesTheory) {
-  // M/D/1 at rho = 0.5: E[sojourn] = s + rho*s / (2*(1 - rho)) = 1.5 s.
+  // One mesh serving one single-token request at a time in a fixed 1 s
+  // step, with negligible prefill, under Poisson arrivals: an M/D/1 queue.
+  // At rho = 0.5: E[sojourn] = s + rho*s / (2*(1 - rho)) = 1.5 s.
   const double s = 1.0;
-  const ServingReport r = simulate_serving(
-      s, ArrivalProcess{.rate_rps = 0.5, .num_requests = 400000, .seed = 11});
-  EXPECT_NEAR(r.mean, 1.5, 1.5 * 0.02);
+  const MeshModel unit(1, {StepPoint{.batch = 1.0, .step_time = s}},
+                       /*prefill_tokens_per_s=*/1e12,
+                       /*prefill_overhead=*/0.0, LinkModel::mbps(1000));
+  const FleetReport r = simulate_fleet(
+      FleetConfig{.mesh = unit,
+                  .max_batch = 1,
+                  .max_queue_per_mesh =
+                      std::numeric_limits<std::size_t>::max()},
+      OpenLoopTraffic{.base_rate_rps = 0.5,
+                      .diurnal = {},
+                      .prompt = LengthDistribution::fixed(1),
+                      .output = LengthDistribution::fixed(1),
+                      .num_requests = 400000,
+                      .seed = 11});
+  ASSERT_EQ(r.completed, 400000U);
+  EXPECT_NEAR(r.e2e.mean, 1.5, 1.5 * 0.02);
   EXPECT_TRUE(r.stable);
-  EXPECT_NEAR(r.offered_load, 0.5, 1e-12);
+  EXPECT_NEAR(r.offered_load, 0.5, 0.02);
   // Over a long horizon the achieved busy fraction converges to rho.
-  EXPECT_NEAR(r.utilization, 0.5, 0.02);
-  EXPECT_NEAR(r.throughput_rps, 0.5, 0.02);
+  EXPECT_NEAR(r.mean_mesh_utilization, 0.5, 0.02);
+  EXPECT_NEAR(r.achieved_rps, 0.5, 0.02);
 }
 
 // --- traffic generators ------------------------------------------------------

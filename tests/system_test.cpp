@@ -50,56 +50,14 @@ TEST(System, EstimateLatencyUsesSchemeAndCluster) {
   EXPECT_LT(system.estimate_latency(fast, 64).total, report.total);
 }
 
-TEST(System, AllStrategiesAgree) {
-  const TransformerModel reference = make_model(mini_bert_spec());
-  const auto tokens = random_tokens(18, reference.spec().vocab_size, 5);
-  const Tensor expected = reference.infer(tokens);
-  for (const Strategy strategy :
-       {Strategy::kVoltage, Strategy::kTensorParallel, Strategy::kPipeline}) {
-    System system(make_model(mini_bert_spec()),
-                  {.scheme = PartitionScheme::even(2),
-                   .policy = OrderPolicy::kAdaptive,
-                   .strategy = strategy});
-    EXPECT_TRUE(allclose(system.infer(tokens), expected, 2e-3F))
-        << static_cast<int>(strategy);
-    EXPECT_GT(system.traffic().bytes_sent, 0U);
-  }
-}
-
 TEST(System, StrategyOverRealSockets) {
   const TransformerModel reference = make_model(mini_gpt2_spec());
   System system(make_model(mini_gpt2_spec()),
                 {.scheme = PartitionScheme::even(2),
                  .policy = OrderPolicy::kAdaptive,
-                 .strategy = Strategy::kVoltage,
                  .transport = TransportKind::kUnixSocket});
   const auto tokens = random_tokens(12, reference.spec().vocab_size, 6);
   EXPECT_TRUE(allclose(system.infer(tokens), reference.infer(tokens), 2e-3F));
-}
-
-TEST(System, EstimateFollowsStrategy) {
-  // The estimate must describe the configured strategy: on a weak link TP
-  // predicts much worse latency than Voltage on the same cluster.
-  const auto cluster = sim::Cluster::homogeneous(
-      2,
-      sim::DeviceSpec{.name = "edge", .mac_rate = 25e9,
-                      .elementwise_rate = 4e9},
-      LinkModel::mbps(200));
-  System voltage(make_model(mini_bert_spec()),
-                 {.scheme = PartitionScheme::even(2),
-                  .strategy = Strategy::kVoltage});
-  System tp(make_model(mini_bert_spec()),
-            {.scheme = PartitionScheme::even(2),
-             .strategy = Strategy::kTensorParallel});
-  System pipe(make_model(mini_bert_spec()),
-              {.scheme = PartitionScheme::even(2),
-               .strategy = Strategy::kPipeline});
-  const double v = voltage.estimate_latency(cluster, 64).total;
-  const double t = tp.estimate_latency(cluster, 64).total;
-  const double p = pipe.estimate_latency(cluster, 64).total;
-  EXPECT_LT(v, t);
-  EXPECT_GT(p, 0.0);
-  EXPECT_EQ(pipe.estimate_latency(cluster, 64).devices, 2U);
 }
 
 TEST(System, TrafficAccumulatesAcrossCalls) {
