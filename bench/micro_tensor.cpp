@@ -211,35 +211,29 @@ BENCHMARK(BM_AttentionHead)
     ->Arg(1)
     ->ArgNames({"reordered"});
 
-// The decode kernel: one query row against P resident positions of a
-// mini-gpt2 layer (F=128, H=4, F_H=32), in either resident form. Items are
-// the call's MACs, projections included: naive H·(F·F_H + 2·P·F_H),
-// reordered H·(2·F·F_H + F_H·F + 2·P·F).
+// The decode kernel: one query row against P resident K/V positions of a
+// mini-gpt2 layer (F=128, H=4, F_H=32). Items are the call's MACs, the
+// query projection included: H·(F·F_H + 2·P·F_H).
 void BM_DecodeAttention(benchmark::State& state) {
-  const bool reordered = state.range(0) != 0;
-  const auto p = static_cast<std::size_t>(state.range(1));
+  const auto p = static_cast<std::size_t>(state.range(0));
   const LayerConfig cfg = mini_gpt2_spec().layer;
   Rng rng(10);
   const LayerWeights w = init_layer_weights(cfg, rng);
+  KvBlockPool pool(kv_block_floats(cfg));
   DecodeLayerCache cache;
-  cache.init(reordered ? AttentionOrder::kReordered : AttentionOrder::kNaive,
-             cfg);
+  cache.init(cfg, pool);
   cache.append(rng.normal_tensor(p, cfg.hidden, 1.0F), w.attention);
   const Tensor x = rng.normal_tensor(1, cfg.hidden, 1.0F);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         decode_partial_attention(x, cache, w.attention, cfg));
   }
-  const std::size_t f = cfg.hidden;
   const std::size_t fh = cfg.head_dim;
-  const std::size_t macs =
-      cfg.heads * (reordered ? 3 * f * fh + 2 * p * f : f * fh + 2 * p * fh);
+  const std::size_t macs = cfg.heads * (cfg.hidden * fh + 2 * p * fh);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(macs));
 }
-BENCHMARK(BM_DecodeAttention)
-    ->ArgsProduct({{0, 1}, {64, 256, 1024}})
-    ->ArgNames({"reordered", "P"});
+BENCHMARK(BM_DecodeAttention)->Arg(64)->Arg(256)->Arg(1024)->ArgNames({"P"});
 
 // INT8 GEMM vs the float path (same shape as BM_Matmul/256).
 void BM_QuantizedMatmul(benchmark::State& state) {

@@ -286,13 +286,20 @@ CriticalPathReport analyze_critical_path(const LoadedTrace& trace) {
   std::map<std::pair<std::int64_t, std::int64_t>, LayerPath> layer_paths;
   for (const auto& [track, state] : tracks) {
     if (!state.participant) continue;
+    // A "layer" span nests its "attention" and "ffn" spans under the same
+    // layer, so each row counts the union of its compute intervals.
+    std::map<std::int64_t, std::vector<Interval>> compute_iv;
     for (const TraceEvent* e : state.compute) {
       if (e->layer < 0 || !inside_prefill(e->start_us)) continue;
-      LayerPath& row = layer_paths[{e->layer, track}];
-      row.layer = e->layer;
+      compute_iv[e->layer].emplace_back(e->start_us,
+                                        e->start_us + e->duration_us);
+    }
+    for (auto& [layer, intervals] : compute_iv) {
+      LayerPath& row = layer_paths[{layer, track}];
+      row.layer = layer;
       row.track = track;
       row.device = state.device >= 0 ? state.device : track;
-      row.compute_us += e->duration_us;
+      row.compute_us = measure(merged(std::move(intervals)));
     }
     for (const CommSpan& s : state.comm) {
       const TraceEvent& e = *s.event;

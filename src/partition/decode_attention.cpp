@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "tensor/flops.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 
@@ -55,7 +56,6 @@ DecodeLayerCache& DecodeLayerCache::operator=(
     DecodeLayerCache&& other) noexcept {
   if (this == &other) return *this;
   release();
-  resident_ = other.resident_;
   rows_ = other.rows_;
   heads_ = other.heads_;
   head_dim_ = other.head_dim_;
@@ -63,7 +63,6 @@ DecodeLayerCache& DecodeLayerCache::operator=(
   stride_ = other.stride_;
   rows_per_block_ = other.rows_per_block_;
   pool_ = other.pool_;
-  owned_pool_ = std::move(other.owned_pool_);
   blocks_ = std::move(other.blocks_);
   other.pool_ = nullptr;
   other.blocks_.clear();
@@ -80,27 +79,17 @@ void DecodeLayerCache::release() noexcept {
   pool_ = nullptr;
 }
 
-void DecodeLayerCache::init(AttentionOrder resident, const LayerConfig& config,
-                            KvBlockPool* pool) {
+void DecodeLayerCache::init(const LayerConfig& config, KvBlockPool& pool) {
   release();
-  resident_ = resident;
   heads_ = config.heads;
   head_dim_ = config.head_dim;
   hidden_ = config.hidden;
-  stride_ = resident_ == AttentionOrder::kNaive ? 2 * heads_ * head_dim_
-                                                : hidden_;
-  if (pool == nullptr) {
-    if (owned_pool_ == nullptr ||
-        owned_pool_->block_floats() < kv_block_floats(config)) {
-      owned_pool_ = std::make_unique<KvBlockPool>(kv_block_floats(config));
-    }
-    pool = owned_pool_.get();
-  }
-  if (pool->block_floats() < stride_) {
+  stride_ = 2 * heads_ * head_dim_;
+  if (pool.block_floats() < stride_) {
     throw std::invalid_argument(
         "DecodeLayerCache: pool blocks narrower than one position row");
   }
-  pool_ = pool;
+  pool_ = &pool;
   rows_per_block_ = pool_->block_floats() / stride_;
 }
 
@@ -122,29 +111,22 @@ void DecodeLayerCache::append(const Tensor& block, const AttentionWeights& w) {
   if (pool_ == nullptr) {
     throw std::logic_error("DecodeLayerCache: append before init");
   }
-  const std::size_t m = block.rows();
+  // Project per head exactly as the monolithic path would, then scatter
+  // each position's [K_0..K_{H-1} | V_0..V_{H-1}] row into its page.
   const std::size_t fh = head_dim_;
-  if (resident_ == AttentionOrder::kNaive) {
-    // Project per head exactly as the monolithic path would, then scatter
-    // each position's [K_0..K_{H-1} | V_0..V_{H-1}] row into its page.
-    std::vector<Tensor> k_new;
-    std::vector<Tensor> v_new;
-    k_new.reserve(heads_);
-    v_new.reserve(heads_);
+  std::vector<Tensor> k_new;
+  std::vector<Tensor> v_new;
+  k_new.reserve(heads_);
+  v_new.reserve(heads_);
+  for (std::size_t h = 0; h < heads_; ++h) {
+    k_new.push_back(matmul(block, w.heads[h].wk));  // m x F_H
+    v_new.push_back(matmul(block, w.heads[h].wv));
+  }
+  for (std::size_t j = 0; j < block.rows(); ++j) {
+    float* const row = append_row();
     for (std::size_t h = 0; h < heads_; ++h) {
-      k_new.push_back(matmul(block, w.heads[h].wk));  // m x F_H
-      v_new.push_back(matmul(block, w.heads[h].wv));
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      float* const row = append_row();
-      for (std::size_t h = 0; h < heads_; ++h) {
-        std::copy_n(k_new[h].row(j).data(), fh, row + h * fh);
-        std::copy_n(v_new[h].row(j).data(), fh, row + (heads_ + h) * fh);
-      }
-    }
-  } else {
-    for (std::size_t j = 0; j < m; ++j) {
-      std::copy_n(block.row(j).data(), hidden_, append_row());
+      std::copy_n(k_new[h].row(j).data(), fh, row + h * fh);
+      std::copy_n(v_new[h].row(j).data(), fh, row + (heads_ + h) * fh);
     }
   }
 }
@@ -165,54 +147,41 @@ void DecodeLayerCache::truncate(std::size_t n) {
 
 namespace {
 
-// The decode kernel over R command rows. The query-side projections are
-// cache-independent, so the constructor runs one [R x .] GEMM per head for
-// every row; attend() then reduces one row against one cache.
+// The decode kernel over R command rows. The query projections are
+// cache-independent, so the constructor runs one [R x F_H] GEMM per head
+// for every row; attend() then reduces one row against one cache.
 class PartialKernel {
  public:
   PartialKernel(const Tensor& x_rows, const AttentionWeights& w,
-                const LayerConfig& config, bool any_reordered)
-      : w_(w),
-        heads_(config.heads),
+                const LayerConfig& config)
+      : heads_(config.heads),
         fh_(config.head_dim),
-        f_(config.hidden),
-        inv_sqrt_(1.0F / std::sqrt(static_cast<float>(config.head_dim))),
-        reordered_row_(x_rows.rows(), false) {
+        inv_sqrt_(1.0F / std::sqrt(static_cast<float>(config.head_dim))) {
     q_.reserve(heads_);
     for (std::size_t h = 0; h < heads_; ++h) {
       q_.push_back(matmul(x_rows, w.heads[h].wq));
-      if (any_reordered) {
-        qk_.push_back(matmul(q_[h], w.heads[h].wk, Trans::kNo, Trans::kYes));
-        xsum_.emplace_back(x_rows.rows(), f_);
-      }
     }
   }
 
   // Row j's per-head partials over every resident position of `cache`,
-  // written into packed row j (left the merge identity when it holds none).
+  // written into packed row j (left the merge identity when it holds none):
+  // scores = (x W_Q) K^T / sqrt(F_H) over head h's K columns, then the
+  // exp-weighted sum of its V columns.
   void attend(std::size_t j, const DecodeLayerCache& cache, Tensor& packed) {
     const std::size_t p = cache.rows();
     if (p == 0) return;
-    // Eq. (3) rows score head h's resident K columns and sum its V columns:
-    // scores = (x W_Q) K^T / sqrt(F_H). Eq. (8) rows score and sum the raw
-    // x rows: scores = ((x W_Q) W_K^T) x_c^T, and W_V applies to the
-    // weighted-x sum in finish().
-    const bool naive = cache.resident() == AttentionOrder::kNaive;
-    const std::size_t width = naive ? fh_ : f_;
     weights_.resize(p);
     for (std::size_t h = 0; h < heads_; ++h) {
       float* const out = packed.row(j).data() + h * (fh_ + 2);
-      const float* const query =
-          naive ? q_[h].row(j).data() : qk_[h].row(j).data();
-      const std::size_t key_col = naive ? h * fh_ : 0;
-      const std::size_t value_col = naive ? (heads_ + h) * fh_ : 0;
-      float* const sum = naive ? out + 2 : xsum_[h].row(j).data();
+      const float* const query = q_[h].row(j).data();
+      const std::size_t key_col = h * fh_;
+      const std::size_t value_col = (heads_ + h) * fh_;
       // Scores: one transposed GEMV per page, one output per resident row.
       std::fill(weights_.begin(), weights_.end(), 0.0F);
       cache.for_each_page(
           [&](const float* rows, std::size_t first, std::size_t count) {
             detail::gemv(query, rows + key_col, cache.stride(), true,
-                         weights_.data() + first, width, count);
+                         weights_.data() + first, fh_, count);
           });
       float m = kNegInf;
       for (float& s : weights_) {
@@ -229,38 +198,19 @@ class PartialKernel {
       cache.for_each_page(
           [&](const float* rows, std::size_t first, std::size_t count) {
             detail::gemv(weights_.data() + first, rows + value_col,
-                         cache.stride(), false, sum, count, width);
+                         cache.stride(), false, out + 2, count, fh_);
           });
       out[0] = m;
       out[1] = denom;
     }
-    if (!naive) reordered_row_[j] = true;
-  }
-
-  // Applies W_V to the reordered rows' weighted-x sums, one [R x F] GEMM
-  // per head: linearity lets it commute with the row loop (and with the
-  // cross-device merge, keeping every partial F_H wide on the wire).
-  void finish(Tensor& packed) const {
-    for (std::size_t h = 0; h < xsum_.size(); ++h) {
-      const Tensor o = matmul(xsum_[h], w_.heads[h].wv);  // R x F_H
-      for (std::size_t j = 0; j < o.rows(); ++j) {
-        if (!reordered_row_[j]) continue;
-        std::copy_n(o.row(j).data(), fh_,
-                    packed.row(j).data() + h * (fh_ + 2) + 2);
-      }
-    }
+    flops::add_matmul_macs(static_cast<std::uint64_t>(2) * heads_ * fh_ * p);
   }
 
  private:
-  const AttentionWeights& w_;
   std::size_t heads_;
   std::size_t fh_;
-  std::size_t f_;
   float inv_sqrt_;
-  std::vector<Tensor> q_;     // R x F_H per head
-  std::vector<Tensor> qk_;    // R x F per head (reordered windows only)
-  std::vector<Tensor> xsum_;  // R x F per head (reordered windows only)
-  std::vector<bool> reordered_row_;
+  std::vector<Tensor> q_;       // R x F_H per head
   std::vector<float> weights_;  // one row's scores, then its exp weights
 };
 
@@ -274,10 +224,7 @@ Tensor decode_partial_attention(const Tensor& x_row,
     throw std::invalid_argument("decode_partial_attention: need one F-row");
   }
   Tensor packed = softmax_partial_identity(1, config.heads, config.head_dim);
-  PartialKernel kernel(x_row, w, config,
-                       cache.resident() == AttentionOrder::kReordered);
-  kernel.attend(0, cache, packed);
-  kernel.finish(packed);
+  PartialKernel(x_row, w, config).attend(0, cache, packed);
   return packed;
 }
 
@@ -290,17 +237,15 @@ Tensor decode_windows_partial_attention(const Tensor& x_rows,
     throw std::invalid_argument(
         "decode_windows_partial_attention: need [R x F] rows");
   }
-  bool any_reordered = false;
   for (const DecodeWindowRef& win : windows) {
     if (win.begin >= win.end || win.end > rows || win.owned == nullptr ||
         win.cache == nullptr || win.owned->size() != win.end - win.begin) {
       throw std::invalid_argument(
           "decode_windows_partial_attention: malformed window");
     }
-    any_reordered |= win.cache->resident() == AttentionOrder::kReordered;
   }
   Tensor packed = softmax_partial_identity(rows, config.heads, config.head_dim);
-  PartialKernel kernel(x_rows, w, config, any_reordered);
+  PartialKernel kernel(x_rows, w, config);
   for (const DecodeWindowRef& win : windows) {
     for (std::size_t j = win.begin; j < win.end; ++j) {
       // Append-before-attend, in window order: this device's earlier window
@@ -312,7 +257,6 @@ Tensor decode_windows_partial_attention(const Tensor& x_rows,
       kernel.attend(j, *win.cache, packed);
     }
   }
-  kernel.finish(packed);
   return packed;
 }
 

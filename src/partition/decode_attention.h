@@ -2,17 +2,13 @@
 //
 // In the distributed decode regime (DistributedDecoder) every device
 // permanently holds the attention state of *its own* positions — the caches
-// are never gathered. Theorem 2's order selection decides the resident form
-// per layer and device:
-//   kNaive     — Eq. (3) layers cache K = x W_K and V = x W_V per head
-//                (2 F floats per position);
-//   kReordered — Eq. (8) layers never materialize K or V, so the cache is
-//                the raw layer-input rows x (F floats per position) and the
-//                per-head projections fold into the query side.
-// Each decode step scores the new token's query against the resident rows
-// only and reduces them to per-head online-softmax partials
-// (max, denominator, weighted value) that an exact log-sum-exp merge
-// (collective/softmax_merge.h) combines across devices.
+// are never gathered. Each position is cached as its per-head keys and
+// values, K = x W_K and V = x W_V (2 H F_H floats per position), whatever
+// order Theorem 2 picked for the prefill. Each decode step scores the new
+// token's query against the resident rows only and reduces them to
+// per-head online-softmax partials (max, denominator, weighted value) that
+// an exact log-sum-exp merge (collective/softmax_merge.h) combines across
+// devices.
 //
 // Storage is paged: every cache draws fixed-size blocks from a KvBlockPool
 // (one pool per device, shared by all of that device's (layer, slot)
@@ -28,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "partition/order.h"
 #include "tensor/tensor.h"
 #include "transformer/config.h"
 #include "transformer/weights.h"
@@ -45,18 +40,14 @@ namespace voltage {
   return heads * (head_dim + 2);
 }
 
-// Positions per block under the fattest resident form (kNaive, 2F floats per
-// position); kReordered rows are half as wide, so they pack 2x as many
-// positions into the same block.
+// Positions per pool block.
 inline constexpr std::size_t kKvBlockPositions = 16;
 
-// Floats per pool block for caches of this layer shape: holds
-// kKvBlockPositions rows of the widest resident form.
+// Floats per pool block for caches of this layer shape: kKvBlockPositions
+// rows of [K_0 .. K_{H-1} | V_0 .. V_{H-1}].
 [[nodiscard]] constexpr std::size_t kv_block_floats(
     const LayerConfig& config) noexcept {
-  const std::size_t naive = 2 * config.heads * config.head_dim;
-  const std::size_t widest = naive > config.hidden ? naive : config.hidden;
-  return kKvBlockPositions * widest;
+  return kKvBlockPositions * 2 * config.heads * config.head_dim;
 }
 
 // Fixed-size block arena for partition-resident KV state. allocate() hands
@@ -116,18 +107,16 @@ class DecodeLayerCache {
   DecodeLayerCache(DecodeLayerCache&& other) noexcept;
   DecodeLayerCache& operator=(DecodeLayerCache&& other) noexcept;
 
-  // Clears the cache and fixes the resident form for this sequence, drawing
-  // storage from `pool` (nullptr: the cache lazily owns a private pool —
-  // the single-sequence configuration every pre-batching call site uses).
-  void init(AttentionOrder resident, const LayerConfig& config,
-            KvBlockPool* pool = nullptr);
+  // Clears the cache for a new sequence of this layer shape, drawing
+  // storage from `pool`, which must outlive the cache's blocks.
+  void init(const LayerConfig& config, KvBlockPool& pool);
 
   // Returns every held block to the pool; the cache is empty afterwards
   // (init() again before reuse).
   void release() noexcept;
 
-  // Appends `block` ([m x F] layer-input rows, oldest first) in resident
-  // form: K/V projections for kNaive, the raw rows for kReordered.
+  // Appends `block` ([m x F] layer-input rows, oldest first) as their K/V
+  // projections.
   void append(const Tensor& block, const AttentionWeights& w);
 
   // Rolls back the newest `n` positions — the speculative-decode rejection
@@ -138,18 +127,15 @@ class DecodeLayerCache {
   // exceeds the resident row count.
   void truncate(std::size_t n);
 
-  [[nodiscard]] AttentionOrder resident() const noexcept { return resident_; }
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
-  // Logical resident bytes (rows x the resident form's per-position width);
-  // the physical footprint is page-granular — blocks() * the pool's block
-  // size.
+  // Logical resident bytes (rows x stride() floats); the physical
+  // footprint is page-granular — blocks() * the pool's block size.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return rows_ * stride_ * sizeof(float);
   }
   [[nodiscard]] std::size_t blocks() const noexcept { return blocks_.size(); }
-  // Floats from one position row to the next inside a page: kNaive packs
-  // [K_0 .. K_{H-1} | V_0 .. V_{H-1}] (2 H F_H), kReordered the raw x row
-  // (F).
+  // Floats from one position row to the next inside a page: each row packs
+  // [K_0 .. K_{H-1} | V_0 .. V_{H-1}] (2 H F_H).
   [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
 
   // Visits the resident rows page by page, oldest first: fn(rows, first,
@@ -169,7 +155,6 @@ class DecodeLayerCache {
  private:
   [[nodiscard]] float* append_row();
 
-  AttentionOrder resident_ = AttentionOrder::kNaive;
   std::size_t rows_ = 0;
   std::size_t heads_ = 0;
   std::size_t head_dim_ = 0;
@@ -177,8 +162,7 @@ class DecodeLayerCache {
   std::size_t stride_ = 0;          // floats per position row
   std::size_t rows_per_block_ = 0;  // positions per pool block
   KvBlockPool* pool_ = nullptr;
-  std::unique_ptr<KvBlockPool> owned_pool_;  // when init'd without one
-  std::vector<std::size_t> blocks_;          // pool block ids, append order
+  std::vector<std::size_t> blocks_;  // pool block ids, append order
 };
 
 // Partial attention of the new token's query row `x_row` ([1 x F], the
@@ -186,9 +170,7 @@ class DecodeLayerCache {
 // [1 x softmax_partial_cols(H, F_H)] per-head (max, denom, weighted-value)
 // triples over the cached positions only. All cached positions are in the
 // new token's causal past (its own row, if resident here, was appended
-// first), so no mask is applied. For kReordered caches W_V is applied to
-// the partial weighted-x sum before returning — linearity lets it commute
-// with the cross-device merge, keeping every device's partial F_H wide.
+// first), so no mask is applied.
 [[nodiscard]] Tensor decode_partial_attention(const Tensor& x_row,
                                               const DecodeLayerCache& cache,
                                               const AttentionWeights& w,

@@ -250,9 +250,10 @@ void DistributedDecoder::prime_device(std::size_t i, const DecodeCommand& cmd,
   std::vector<DecodeLayerCache>& caches = state.caches[slot];
   caches.resize(layers.size());
   state.prompt_lens[slot] = n;
-  // Algorithm 2 prefill with two decode twists: every layer banks this
-  // device's input rows into its resident cache, and only the owner of row
-  // n-1 sends that single row (the LM head reads nothing else).
+  // Algorithm 2 prefill with two decode twists: every layer banks the K/V
+  // of this device's input rows into its resident cache, whichever order
+  // the layer ran, and only the owner of row n-1 sends that single row (the
+  // LM head reads nothing else).
   prefill_device(
       *mesh_, model_,
       PrefillPlan{
@@ -263,16 +264,7 @@ void DistributedDecoder::prime_device(std::size_t i, const DecodeCommand& cmd,
           .options = options,
           .on_layer =
               [&](std::size_t l, const Tensor& input, Range own) {
-                // Theorem 2 at the prefill shape fixes this (layer,
-                // device)'s resident form for the whole sequence: naive
-                // layers cache K/V, reordered layers cache the raw input.
-                const LayerConfig& config = layers[l].config();
-                const AttentionDims dims{.n = n,
-                                         .p = own.size(),
-                                         .f = config.hidden,
-                                         .fh = config.head_dim};
-                caches[l].init(select_order(policy_, dims), config,
-                               state.pool.get());
+                caches[l].init(layers[l].config(), *state.pool);
                 if (!own.empty()) {
                   caches[l].append(input.slice_rows(own.begin, own.end),
                                    layers[l].weights().attention);

@@ -4,9 +4,8 @@
 // it costs O(T^2) compute and a full (K-1)NF/K gather per layer per token.
 // This decoder keeps the paper's position partition but makes the attention
 // state partition-resident: one distributed prefill fills per-device caches
-// (each device permanently holds its own positions' rows — K/V for Eq.(3)
-// layers, the raw x for Eq.(8) layers, per Theorem 2's selection at the
-// prefill shape) and each decode step ships only
+// (each device permanently holds its own positions' per-head K/V, whichever
+// order Theorem 2 picked for the prefill) and each decode step ships only
 //   - one K-wide broadcast of the new token rows ([B x F], one embedded row
 //     per in-flight sequence), and
 //   - per layer, one softmax-merge all-reduce of per-head
@@ -260,11 +259,13 @@ class DistributedDecoder {
   }
 
   // Caps each worker's KvBlockPool at `blocks` blocks (0 = unbounded;
-  // default). Effective from the pool's creation at the worker's first
-  // prefill, so set it before the first prime. A device that runs out of
-  // blocks fails its command with std::length_error and poisons the mesh
-  // like any other device failure — size the cap (or the admission policy
-  // above) so steady-state serving never hits it.
+  // default). A block holds kKvBlockPositions K/V positions of one (slot,
+  // layer) cache, so a cap of B blocks holds 16 * B positions at most.
+  // Effective from the pool's creation at the worker's first prefill, so
+  // set it before the first prime. A device that runs out of blocks fails
+  // its command with std::length_error and poisons the mesh like any other
+  // device failure — size the cap (or the admission policy above) so
+  // steady-state serving never hits it.
   void set_kv_block_limit(std::size_t blocks) noexcept {
     kv_block_limit_ = blocks;
   }

@@ -81,15 +81,6 @@ TEST(KvBlockPool, CapExhaustionThrows) {
   EXPECT_NO_THROW((void)pool.allocate());
 }
 
-TEST(KvBlockPool, BlockSizingCoversBothResidentForms) {
-  const LayerConfig cfg = mini_gpt2_spec().layer;
-  // One block holds kKvBlockPositions rows of the widest form (kNaive: K
-  // and V per position), so kReordered rows (F floats) always fit too.
-  EXPECT_EQ(kv_block_floats(cfg),
-            kKvBlockPositions * 2 * cfg.heads * cfg.head_dim);
-  EXPECT_GE(kv_block_floats(cfg), kKvBlockPositions * cfg.hidden);
-}
-
 // --- Bitwise equivalence: batched vs sequential ----------------------------
 
 class BatchedEquivalence

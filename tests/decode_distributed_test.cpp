@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,7 +23,9 @@
 #include "partition/decode_attention.h"
 #include "partition/scheme.h"
 #include "runtime/distributed_decoder.h"
+#include "runtime/mesh.h"
 #include "runtime/voltage_runtime.h"
+#include "tensor/flops.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "transformer/decoder.h"
@@ -158,7 +161,7 @@ TEST(SoftmaxMerge, FinalizeRejectsAllEmptyMerge) {
 
 TEST(DecodeAttention, SplitCachesMergeToWholeCacheResult) {
   // Partial attention over a split cache, merged, must match the partial
-  // over the whole cache — for both resident forms.
+  // over the whole cache.
   const TransformerModel model = make_model(mini_gpt2_spec());
   const LayerConfig& cfg = model.layers()[0].config();
   const AttentionWeights& w = model.layers()[0].weights().attention;
@@ -166,59 +169,35 @@ TEST(DecodeAttention, SplitCachesMergeToWholeCacheResult) {
   const Tensor rows = rng.uniform_tensor(6, cfg.hidden, -1.0F, 1.0F);
   const Tensor query = rng.uniform_tensor(1, cfg.hidden, -1.0F, 1.0F);
 
-  for (const AttentionOrder order :
-       {AttentionOrder::kNaive, AttentionOrder::kReordered}) {
-    DecodeLayerCache whole;
-    DecodeLayerCache left;
-    DecodeLayerCache right;
-    whole.init(order, cfg);
-    left.init(order, cfg);
-    right.init(order, cfg);
-    whole.append(rows, w);
-    left.append(rows.slice_rows(0, 4), w);
-    right.append(rows.slice_rows(4, 6), w);
-    EXPECT_EQ(whole.rows(), 6U);
+  KvBlockPool pool(kv_block_floats(cfg));
+  DecodeLayerCache whole;
+  DecodeLayerCache left;
+  DecodeLayerCache right;
+  whole.init(cfg, pool);
+  left.init(cfg, pool);
+  right.init(cfg, pool);
+  whole.append(rows, w);
+  left.append(rows.slice_rows(0, 4), w);
+  right.append(rows.slice_rows(4, 6), w);
+  EXPECT_EQ(whole.rows(), 6U);
+  // Each position caches its per-head K and V: 2 H F_H floats.
+  EXPECT_EQ(whole.stride(), 2 * cfg.heads * cfg.head_dim);
+  EXPECT_EQ(whole.memory_bytes(),
+            6 * 2 * cfg.heads * cfg.head_dim * sizeof(float));
 
-    Tensor merged = decode_partial_attention(query, left, w, cfg);
-    softmax_merge_inplace(merged, decode_partial_attention(query, right, w, cfg),
-                          cfg.heads, cfg.head_dim);
-    const Tensor reference = decode_partial_attention(query, whole, w, cfg);
-    EXPECT_TRUE(allclose(softmax_merge_finalize(merged, w, cfg),
-                         softmax_merge_finalize(reference, w, cfg), 1e-4F));
-  }
-}
-
-TEST(DecodeAttention, ResidentFormsAgreeAndSizeAsDocumented) {
-  // kNaive caches K and V (2 F floats/position); kReordered caches the raw
-  // row (F floats/position). Both must produce the same attention output.
-  const TransformerModel model = make_model(mini_gpt2_spec());
-  const LayerConfig& cfg = model.layers()[0].config();
-  const AttentionWeights& w = model.layers()[0].weights().attention;
-  Rng rng(31);
-  const Tensor rows = rng.uniform_tensor(5, cfg.hidden, -1.0F, 1.0F);
-  const Tensor query = rng.uniform_tensor(1, cfg.hidden, -1.0F, 1.0F);
-
-  DecodeLayerCache naive;
-  DecodeLayerCache reordered;
-  naive.init(AttentionOrder::kNaive, cfg);
-  reordered.init(AttentionOrder::kReordered, cfg);
-  naive.append(rows, w);
-  reordered.append(rows, w);
-  EXPECT_EQ(naive.memory_bytes(), 5 * 2 * cfg.hidden * sizeof(float));
-  EXPECT_EQ(reordered.memory_bytes(), 5 * cfg.hidden * sizeof(float));
-
-  const Tensor from_naive = softmax_merge_finalize(
-      decode_partial_attention(query, naive, w, cfg), w, cfg);
-  const Tensor from_reordered = softmax_merge_finalize(
-      decode_partial_attention(query, reordered, w, cfg), w, cfg);
-  EXPECT_TRUE(allclose(from_naive, from_reordered, 1e-3F));
+  Tensor merged = decode_partial_attention(query, left, w, cfg);
+  softmax_merge_inplace(merged, decode_partial_attention(query, right, w, cfg),
+                        cfg.heads, cfg.head_dim);
+  const Tensor reference = decode_partial_attention(query, whole, w, cfg);
+  EXPECT_TRUE(allclose(softmax_merge_finalize(merged, w, cfg),
+                       softmax_merge_finalize(reference, w, cfg), 1e-4F));
 }
 
 TEST(DecodeAttention, PartialsAreBitwiseInvariantToThePageSize) {
   // The kernel reads the cache one pool block (page) at a time. The same 37
   // rows cached through pools of 1, 16 and >= 37 positions per block — so
   // the rows cross 36, 2 and no block boundaries — must give
-  // bitwise-identical partials in both resident forms.
+  // bitwise-identical partials.
   const TransformerModel model = make_model(mini_gpt2_spec());
   const LayerConfig& cfg = model.layers()[0].config();
   const AttentionWeights& w = model.layers()[0].weights().attention;
@@ -227,33 +206,84 @@ TEST(DecodeAttention, PartialsAreBitwiseInvariantToThePageSize) {
   const Tensor rows = rng.uniform_tensor(kRows, cfg.hidden, -1.0F, 1.0F);
   const Tensor query = rng.uniform_tensor(1, cfg.hidden, -1.0F, 1.0F);
 
-  for (const AttentionOrder order :
-       {AttentionOrder::kNaive, AttentionOrder::kReordered}) {
-    const std::size_t stride = order == AttentionOrder::kNaive
-                                   ? 2 * cfg.heads * cfg.head_dim
-                                   : cfg.hidden;
-    std::vector<Tensor> partials;
-    for (const std::size_t per_block :
-         {std::size_t{1}, std::size_t{16}, std::size_t{64}}) {
-      KvBlockPool pool(per_block * stride);
-      DecodeLayerCache cache;
-      cache.init(order, cfg, &pool);
-      // Uneven appends, so pages also fill across append calls.
-      cache.append(rows.slice_rows(0, 5), w);
-      cache.append(rows.slice_rows(5, 21), w);
-      cache.append(rows.slice_rows(21, kRows), w);
-      ASSERT_EQ(cache.rows(), kRows);
-      EXPECT_EQ(cache.blocks(), (kRows + per_block - 1) / per_block);
-      partials.push_back(decode_partial_attention(query, cache, w, cfg));
-    }
-    for (const Tensor& partial : partials) {
-      ASSERT_EQ(partial.cols(), partials[0].cols());
-      EXPECT_EQ(std::memcmp(partial.data(), partials[0].data(),
-                            partial.byte_size()),
-                0)
-          << (order == AttentionOrder::kNaive ? "naive" : "reordered");
-    }
+  const std::size_t stride = 2 * cfg.heads * cfg.head_dim;
+  std::vector<Tensor> partials;
+  for (const std::size_t per_block :
+       {std::size_t{1}, std::size_t{16}, std::size_t{64}}) {
+    KvBlockPool pool(per_block * stride);
+    DecodeLayerCache cache;
+    cache.init(cfg, pool);
+    // Uneven appends, so pages also fill across append calls.
+    cache.append(rows.slice_rows(0, 5), w);
+    cache.append(rows.slice_rows(5, 21), w);
+    cache.append(rows.slice_rows(21, kRows), w);
+    ASSERT_EQ(cache.rows(), kRows);
+    EXPECT_EQ(cache.blocks(), (kRows + per_block - 1) / per_block);
+    partials.push_back(decode_partial_attention(query, cache, w, cfg));
   }
+  for (const Tensor& partial : partials) {
+    ASSERT_EQ(partial.cols(), partials[0].cols());
+    EXPECT_EQ(std::memcmp(partial.data(), partials[0].data(),
+                          partial.byte_size()),
+              0);
+  }
+}
+
+TEST(DecodeAttention, TruncateReturnsEmptiedPagesAndKeepsSurvivors) {
+  // The speculative rollback: 37 rows in 16-position pages, minus 6, leaves
+  // 31 rows in 2 pages; the third page goes back to the pool, and the
+  // survivors attend exactly as if the dropped rows had never been cached.
+  const TransformerModel model = make_model(mini_gpt2_spec());
+  const LayerConfig& cfg = model.layers()[0].config();
+  const AttentionWeights& w = model.layers()[0].weights().attention;
+  constexpr std::size_t kRows = 37;
+  constexpr std::size_t kKept = 31;
+  Rng rng(43);
+  const Tensor rows = rng.uniform_tensor(kRows, cfg.hidden, -1.0F, 1.0F);
+  const Tensor query = rng.uniform_tensor(1, cfg.hidden, -1.0F, 1.0F);
+  // True when `cache` attends bitwise as `expected`.
+  const auto attends_as = [&](const DecodeLayerCache& cache,
+                              const Tensor& expected) {
+    const Tensor partial = decode_partial_attention(query, cache, w, cfg);
+    return partial.same_shape(expected) &&
+           std::memcmp(partial.data(), expected.data(),
+                       partial.byte_size()) == 0;
+  };
+
+  // One block holds kKvBlockPositions K/V positions.
+  ASSERT_EQ(kv_block_floats(cfg),
+            kKvBlockPositions * 2 * cfg.heads * cfg.head_dim);
+  ASSERT_EQ(kKvBlockPositions, 16U);
+  KvBlockPool pool(kv_block_floats(cfg));
+  DecodeLayerCache cache;
+  cache.init(cfg, pool);
+  cache.append(rows, w);
+  EXPECT_EQ(cache.blocks(), 3U);
+  const Tensor untruncated = decode_partial_attention(query, cache, w, cfg);
+
+  cache.truncate(kRows - kKept);
+  EXPECT_EQ(cache.rows(), kKept);
+  EXPECT_EQ(cache.blocks(), 2U);
+  EXPECT_EQ(pool.blocks_in_use(), 2U);
+
+  KvBlockPool reference_pool(kv_block_floats(cfg));
+  DecodeLayerCache reference;
+  reference.init(cfg, reference_pool);
+  reference.append(rows.slice_rows(0, kKept), w);
+  EXPECT_TRUE(
+      attends_as(cache, decode_partial_attention(query, reference, w, cfg)));
+
+  // Re-appending the dropped rows restores the untruncated partials.
+  cache.append(rows.slice_rows(kKept, kRows), w);
+  EXPECT_EQ(cache.rows(), kRows);
+  EXPECT_EQ(pool.blocks_in_use(), 3U);
+  EXPECT_TRUE(attends_as(cache, untruncated));
+
+  // Rolling back past the first row throws and leaves every row in place.
+  EXPECT_THROW(cache.truncate(cache.rows() + 1), std::out_of_range);
+  EXPECT_EQ(cache.rows(), kRows);
+  EXPECT_EQ(cache.blocks(), 3U);
+  EXPECT_TRUE(attends_as(cache, untruncated));
 }
 
 // --- End-to-end decoding equivalence --------------------------------------
@@ -380,6 +410,57 @@ TEST(DistributedDecoder, ExtendMatchesStepByStepAndReference) {
   EXPECT_TRUE(allclose(by_extend, ref, 5e-3F));
   EXPECT_EQ(argmax_row(by_extend, 0), argmax_row(ref, 0));
   EXPECT_EQ(extended.position(), prompt.size() + extension.size());
+}
+
+TEST(DistributedDecoder, StepMacsMatchClosedFormGammaStep) {
+  // Γ_step, exactly, as integers. Every device runs W_Q, W_O and the FFN on
+  // the new row: K·L·(2F² + 2F·F_ffn). The row's owner projects its K/V:
+  // 2L·F². The devices together attend each of the c positions cached
+  // after the append once: 2L·F·c. The terminal's LM head: F·V. No term
+  // depends on the order Theorem 2 picked for the prefill.
+  const TransformerModel model = make_model(mini_gpt2_spec());
+  const ModelSpec& spec = model.spec();
+  const std::uint64_t l = spec.num_layers;
+  const std::uint64_t f = spec.layer.hidden;
+  const std::uint64_t f_ffn = spec.layer.ffn_dim;
+  const std::uint64_t vocab = spec.vocab_size;
+  const auto gamma_step = [&](std::uint64_t k, std::uint64_t c) {
+    return k * l * (2 * f * f + 2 * f * f_ffn) + 2 * l * f * f +
+           2 * l * f * c + f * vocab;
+  };
+  const auto prompt = random_tokens(20, spec.vocab_size, 61);
+  constexpr int kSteps = 10;
+  for (const std::size_t k :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    for (const OrderPolicy policy :
+         {OrderPolicy::kAdaptive, OrderPolicy::kAlwaysNaive,
+          OrderPolicy::kAlwaysReordered}) {
+      // Workers may still run the last layer's tail after step() returns,
+      // so the counter is read only once the mesh has drained.
+      const auto mesh = std::make_shared<DeviceMesh>(
+          make_transport(TransportKind::kInMemory, k + 1), k);
+      DistributedDecoder decoder(model, PartitionScheme::even(k), policy,
+                                 mesh);
+      Tensor logits = decoder.prime(prompt);
+      for (int step = 0; step < kSteps; ++step) {
+        const auto next = static_cast<TokenId>(argmax_row(logits, 0));
+        mesh->drain();
+        const std::uint64_t before = flops::matmul_macs();
+        logits = decoder.step(next);
+        mesh->drain();
+        EXPECT_EQ(flops::matmul_macs() - before,
+                  gamma_step(k, decoder.position()))
+            << "K=" << k << " policy " << static_cast<int>(policy)
+            << " step " << step;
+      }
+    }
+  }
+  // At K=1 the distributed step costs what the single-device step costs.
+  IncrementalDecoder reference(model);
+  Tensor logits = reference.prime(prompt);
+  const std::uint64_t before = flops::matmul_macs();
+  (void)reference.step(static_cast<TokenId>(argmax_row(logits, 0)));
+  EXPECT_EQ(flops::matmul_macs() - before, gamma_step(1, reference.position()));
 }
 
 TEST(DistributedDecoder, MisuseThrowsWithoutPoisoningTheMesh) {

@@ -660,6 +660,37 @@ TEST(CriticalPath, SyntheticTraceDecomposesExactly) {
   EXPECT_NE(table.find("step"), std::string::npos);
 }
 
+// A prefill "layer" span nests its "attention" and "ffn" spans under the
+// same layer: the layer row counts the covered time once, like the window.
+TEST(CriticalPath, PrefillLayerRowsCountNestedComputeOnce) {
+  obs::LoadedTrace trace;
+  const auto add = [&](const char* name, obs::Micros start, obs::Micros dur) {
+    obs::TraceEvent e;
+    e.name = name;
+    e.category = "compute";
+    e.track = 0;
+    e.start_us = start;
+    e.duration_us = dur;
+    e.device = 0;
+    e.layer = 0;
+    trace.events.push_back(std::move(e));
+  };
+  add("layer", 10, 50);
+  add("attention", 10, 30);
+  add("ffn", 40, 20);
+
+  const obs::CriticalPathReport report = obs::analyze_critical_path(trace);
+  ASSERT_EQ(report.windows.size(), 1U);
+  EXPECT_EQ(report.windows[0].label, "trace");
+  ASSERT_EQ(report.windows[0].devices.size(), 1U);
+  EXPECT_EQ(report.windows[0].devices[0].compute_us, 50);
+  ASSERT_EQ(report.layers.size(), 1U);
+  EXPECT_EQ(report.layers[0].layer, 0);
+  EXPECT_EQ(report.layers[0].compute_us, 50);
+  EXPECT_EQ(report.layers[0].compute_us,
+            report.windows[0].devices[0].compute_us);
+}
+
 // Acceptance: on a real K=4 decode trace, every device's compute/wire/wait
 // must sum to each step's wall time (the decomposition is exact; 5% is the
 // issue's tolerance), and one step's flow arrows must touch every device

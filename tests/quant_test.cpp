@@ -527,8 +527,9 @@ TEST(QuantizedStack, DecodeStepTailTracksFloatTailAndIsDeterministic) {
   Rng rng(97);
   const Tensor rows = rng.uniform_tensor(6, cfg.hidden, -1.0F, 1.0F);
   const Tensor x = rng.uniform_tensor(1, cfg.hidden, -1.0F, 1.0F);
+  KvBlockPool pool(kv_block_floats(cfg));
   DecodeLayerCache cache;
-  cache.init(AttentionOrder::kNaive, cfg);
+  cache.init(cfg, pool);
   cache.append(rows, w);
   const Tensor merged = decode_partial_attention(x, cache, w, cfg);
 
