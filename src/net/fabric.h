@@ -4,89 +4,28 @@
 // traffic statistics that the communication-volume experiments read.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
+#include <utility>
 
-#include "net/transport.h"
+#include "net/mailbox.h"
 
 namespace voltage {
 
-class Fabric final : public Transport {
+class Fabric final : public MailboxTransport {
  public:
   // `devices` mailboxes, ids 0 .. devices-1.
-  explicit Fabric(std::size_t devices);
+  explicit Fabric(std::size_t devices) : MailboxTransport("Fabric", devices) {}
 
-  Fabric(const Fabric&) = delete;
-  Fabric& operator=(const Fabric&) = delete;
-
-  [[nodiscard]] std::size_t devices() const noexcept override {
-    return mailboxes_.size();
+  // Puts the message straight into the destination's mailbox.
+  void send(Message message) override {
+    stamp_send(message);
+    deposit(std::move(message));
   }
-
-  // Delivers to the destination mailbox; thread-safe; throws on bad ids or
-  // self-send (a device never needs the fabric to talk to itself), and
-  // TransportClosedError once poisoned.
-  void send(Message message) override;
-
-  // Blocks until a message with this (source, tag) arrives at `receiver`,
-  // the deadline passes, or the fabric is poisoned. Queued messages match
-  // before the closed/deadline checks.
-  [[nodiscard]] Message recv(DeviceId receiver, DeviceId source,
-                             MessageTag tag,
-                             const RecvOptions& options = {}) override;
-
-  // Blocks until any message with this tag arrives at `receiver`; same
-  // semantics as recv.
-  [[nodiscard]] Message recv_any(DeviceId receiver, MessageTag tag,
-                                 const RecvOptions& options = {}) override;
-
-  // Poisons every mailbox: all blocked receivers wake and throw
-  // TransportClosedError(reason). Idempotent; first reason wins.
-  void close(std::string reason) override;
-  [[nodiscard]] bool closed() const noexcept override {
-    return closed_.load(std::memory_order_acquire);
-  }
-
-  // Per-device cumulative traffic counters.
-  [[nodiscard]] TrafficStats stats(DeviceId device) const override;
-  [[nodiscard]] TrafficStats total_stats() const override;
-  void reset_stats() override;
-
-  void set_metrics(obs::MetricsRegistry* metrics) override;
-  void set_flight_recorder(obs::FlightRecorder* recorder) override;
 
  private:
-  struct Mailbox {
-    mutable std::mutex mutex;
-    std::condition_variable arrived;
-    std::deque<Message> queue;
-    TrafficStats stats;
-    // Per-sender message sequence, assigned at send. Not reset by
-    // reset_stats() — flow ids derived from it must stay unique for the
-    // fabric's lifetime.
-    std::uint64_t next_seq = 0;
-  };
-
-  Mailbox& box(DeviceId id);
-  [[nodiscard]] const Mailbox& box(DeviceId id) const;
-  [[noreturn]] void throw_closed(const char* verb) const;
-  void note_received(const Message& message) const;
-
-  const std::uint64_t uid_ = detail::next_transport_uid();
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  TransportCounters metrics_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  // Poison state: the flag is checked inside every mailbox's wait loop (the
-  // mailbox mutex orders it against close()'s notify), the reason is set
-  // once before the flag flips.
-  std::atomic<bool> closed_{false};
-  mutable std::mutex close_mutex_;
-  std::string close_reason_;
+  // Every blocked receiver wakes and throws TransportClosedError(reason).
+  void on_close() override {
+    for (DeviceId device = 0; device < devices(); ++device) shut(device);
+  }
 };
 
 }  // namespace voltage

@@ -3,9 +3,10 @@
 // A full mesh of AF_UNIX stream socket pairs connects the devices — every
 // byte crosses a genuine socket boundary with framing, partial reads and
 // copies, exactly like the paper's multi-VM TCP deployment modulo the wire
-// itself. One reader thread per device demultiplexes incoming frames into
-// a tagged mailbox with the same matching semantics as the in-memory
-// Fabric, so the two transports are drop-in interchangeable.
+// itself. One reader thread per device deposits incoming frames into the
+// device's mailbox. Matching, poisoning and counting live in the
+// MailboxTransport it shares with the in-memory Fabric, so the two
+// transports are drop-in interchangeable.
 //
 // Frame format: u64 source | u64 tag | u64 trace_id | u64 seq |
 // u64 payload_length | payload bytes. trace_id/seq carry the request trace
@@ -13,18 +14,14 @@
 // ship the same two words.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "net/transport.h"
+#include "net/mailbox.h"
 
 namespace voltage {
 
@@ -48,7 +45,7 @@ inline constexpr std::uint64_t kMaxFramePayloadBytes = std::uint64_t{1} << 28;
 [[nodiscard]] FrameHeader parse_frame_header(
     std::span<const std::byte, kWireFrameBytes> bytes, DeviceId peer);
 
-class SocketFabric final : public Transport {
+class SocketFabric final : public MailboxTransport {
  public:
   // Builds the (devices choose 2) socket mesh and starts reader threads.
   // Throws std::system_error if socketpair(2) fails.
@@ -58,32 +55,10 @@ class SocketFabric final : public Transport {
   SocketFabric(const SocketFabric&) = delete;
   SocketFabric& operator=(const SocketFabric&) = delete;
 
-  [[nodiscard]] std::size_t devices() const noexcept override {
-    return endpoints_.size();
-  }
-
+  // Writes one frame to the destination's socket. A send that races
+  // close() surfaces TransportClosedError (never SIGPIPE — frames go out
+  // with MSG_NOSIGNAL).
   void send(Message message) override;
-  [[nodiscard]] Message recv(DeviceId receiver, DeviceId source,
-                             MessageTag tag,
-                             const RecvOptions& options = {}) override;
-  [[nodiscard]] Message recv_any(DeviceId receiver, MessageTag tag,
-                                 const RecvOptions& options = {}) override;
-
-  // Poisons the mesh: shuts every socket down, so readers drain to EOF and
-  // every blocked receiver throws TransportClosedError(reason). Sends that
-  // race the shutdown surface the same error (never SIGPIPE — frames go out
-  // with MSG_NOSIGNAL). Idempotent; first reason wins.
-  void close(std::string reason) override;
-  [[nodiscard]] bool closed() const noexcept override {
-    return closed_.load(std::memory_order_acquire);
-  }
-
-  [[nodiscard]] TrafficStats stats(DeviceId device) const override;
-  [[nodiscard]] TrafficStats total_stats() const override;
-  void reset_stats() override;
-
-  void set_metrics(obs::MetricsRegistry* metrics) override;
-  void set_flight_recorder(obs::FlightRecorder* recorder) override;
 
  private:
   struct Endpoint {
@@ -91,31 +66,15 @@ class SocketFabric final : public Transport {
     std::vector<int> peer_fd;
     std::vector<std::unique_ptr<std::mutex>> write_mutex;  // per peer fd
     std::thread reader;
-
-    mutable std::mutex mutex;
-    std::condition_variable arrived;
-    std::deque<Message> inbox;
-    bool closed = false;
-    TrafficStats stats;
-    // Per-sender message sequence; not reset by reset_stats() (flow ids
-    // derived from it must stay unique for the fabric's lifetime).
-    std::uint64_t next_seq = 0;
   };
 
+  // Shuts every socket down: readers deposit what is already in flight,
+  // then shut their mailboxes at EOF, and blocked receivers throw.
+  void on_close() override;
   void reader_loop(std::size_t device);
-  Endpoint& endpoint(DeviceId id);
-  [[nodiscard]] const Endpoint& endpoint(DeviceId id) const;
   void shutdown_sockets();
-  [[noreturn]] void throw_closed(const char* verb) const;
-  void note_received(const Message& message) const;
 
-  const std::uint64_t uid_ = detail::next_transport_uid();
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  TransportCounters metrics_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::atomic<bool> closed_{false};
-  mutable std::mutex close_mutex_;
-  std::string close_reason_;
 };
 
 }  // namespace voltage

@@ -1,32 +1,11 @@
 #include "net/transport.h"
 
-#include <atomic>
 #include <stdexcept>
 
 #include "net/fabric.h"
 #include "net/socket_fabric.h"
-#include "obs/metrics.h"
 
 namespace voltage {
-
-namespace detail {
-
-std::uint64_t next_transport_uid() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace detail
-
-TransportCounters resolve_transport_counters(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) return {};
-  return TransportCounters{
-      .messages_sent = &metrics->counter("transport.messages_sent"),
-      .bytes_sent = &metrics->counter("transport.bytes_sent"),
-      .messages_received = &metrics->counter("transport.messages_received"),
-      .bytes_received = &metrics->counter("transport.bytes_received"),
-  };
-}
 
 std::unique_ptr<Transport> make_transport(TransportKind kind,
                                           std::size_t devices) {

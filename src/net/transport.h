@@ -3,8 +3,12 @@
 // Two implementations ship: the in-memory Fabric (deterministic, zero-copy,
 // used by tests and fast benchmarks) and the SocketFabric (a full mesh of
 // real kernel sockets — what an actual edge deployment would look like on
-// one host). Collectives and runtimes are written against this interface,
-// so the choice is a construction-time flag.
+// one host). Both are a MailboxTransport (net/mailbox.h), which owns the
+// mailboxes, the receive loop, poisoning and the traffic counters; they
+// differ only in how a message reaches its destination's mailbox.
+// ChaosTransport (net/chaos.h) decorates either one. Collectives and
+// runtimes are written against this interface, so the choice is a
+// construction-time flag.
 #pragma once
 
 #include <chrono>
@@ -16,25 +20,11 @@
 #include "net/message.h"
 
 namespace voltage::obs {
-class Counter;
 class FlightRecorder;
 class MetricsRegistry;
 }  // namespace voltage::obs
 
 namespace voltage {
-
-// Cached counter handles a transport increments on its hot path — resolved
-// once at attach time so send/recv never touch the registry's name map.
-struct TransportCounters {
-  obs::Counter* messages_sent = nullptr;
-  obs::Counter* bytes_sent = nullptr;
-  obs::Counter* messages_received = nullptr;
-  obs::Counter* bytes_received = nullptr;
-
-  [[nodiscard]] bool enabled() const noexcept {
-    return messages_sent != nullptr;
-  }
-};
 
 struct TrafficStats {
   std::uint64_t messages_sent = 0;
@@ -119,38 +109,15 @@ class Transport {
   // Attaches a metrics registry: sends and receives increment the
   // "transport.{messages,bytes}_{sent,received}" counters. Pass nullptr to
   // detach. Not synchronized against in-flight traffic — attach before the
-  // mesh is busy (construction time). Default: no-op for transports without
-  // an instrumented hot path.
-  virtual void set_metrics(obs::MetricsRegistry* /*metrics*/) {}
+  // mesh is busy (construction time).
+  virtual void set_metrics(obs::MetricsRegistry* metrics) = 0;
 
   // Attaches a flight recorder (non-owning; nullptr detaches): sends and
   // receives append to its last-N ring, and close() dumps it with the
   // poison reason, so a containment event carries its recent message
-  // history. Same attach-before-traffic contract as set_metrics. Default:
-  // no-op for transports without the hook.
-  virtual void set_flight_recorder(obs::FlightRecorder* /*recorder*/) {}
+  // history. Same attach-before-traffic contract as set_metrics.
+  virtual void set_flight_recorder(obs::FlightRecorder* recorder) = 0;
 };
-
-namespace detail {
-
-// Process-unique id per transport instance. Flow ids are namespaced by it
-// so two meshes tracing into one Tracer (two runtimes, or a server's mesh
-// before and after a rebuild) can never collide on (sender, seq).
-[[nodiscard]] std::uint64_t next_transport_uid();
-
-// Flow binding id for one message: unique per (transport, sender, seq).
-[[nodiscard]] constexpr std::uint64_t make_flow_id(
-    std::uint64_t transport_uid, DeviceId source, std::uint64_t seq) noexcept {
-  return (transport_uid << 48) ^ (static_cast<std::uint64_t>(source) << 40) ^
-         seq;
-}
-
-}  // namespace detail
-
-// Resolves the standard transport counters in `metrics` (nullptr in, empty
-// handles out). Shared by every instrumented Transport implementation.
-[[nodiscard]] TransportCounters resolve_transport_counters(
-    obs::MetricsRegistry* metrics);
 
 enum class TransportKind : std::uint8_t {
   kInMemory,    // lock-guarded mailboxes, zero syscalls (default)

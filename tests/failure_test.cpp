@@ -101,10 +101,15 @@ TEST_P(FailureTransportParam, QueuedMessageDeliveredBeforeClosedCheck) {
   t->send(Message{.source = 0, .destination = 1, .tag = 5,
                   .payload = std::vector<std::byte>(3)});
   // Socket delivery is asynchronous; wait for the message to land.
-  const auto deadline = RecvOptions::within(5.0);
-  const Message m = t->recv(1, 0, 5, deadline);
-  EXPECT_EQ(m.payload.size(), 3U);
+  const auto start = Clock::now();
+  while (t->stats(1).messages_received < 1 && seconds_since(start) < 5.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(t->stats(1).messages_received, 1U);
+  // Poison with the message still queued: the first recv must match it.
   t->close("late close");
+  const Message m = t->recv(1, 0, 5);
+  EXPECT_EQ(m.payload.size(), 3U);
   EXPECT_THROW((void)t->recv(1, 0, 5), TransportClosedError);
 }
 

@@ -449,9 +449,11 @@ TEST(TraceReport, GemmCountsOnlyInsideItsLayerSpan) {
 
 // --- trace context + flow propagation -----------------------------------
 
-TEST(TraceContext, FabricStampsPropagatesAndClosesTheFlow) {
+// Sends one traced message over a two-device `kind` transport and checks
+// the stamps, the receiver's adopted context and the closed flow arrow.
+void expect_stamps_propagate_and_close_the_flow(TransportKind kind) {
   obs::Tracer tracer;
-  Fabric fabric(2);
+  const auto fabric = make_transport(kind, 2);
   const std::uint64_t request = obs::next_trace_id();
   std::uint64_t adopted = 0;
 
@@ -459,7 +461,7 @@ TEST(TraceContext, FabricStampsPropagatesAndClosesTheFlow) {
     const obs::ThreadTracerScope scope(&tracer);
     const obs::ThreadTrackScope track(1);
     obs::TraceSpan span(&tracer, "consume", "comm", 1);
-    const Message m = fabric.recv(1, 0, /*tag=*/7);
+    const Message m = fabric->recv(1, 0, /*tag=*/7);
     EXPECT_EQ(m.trace_id, request);
     EXPECT_EQ(m.seq, 1U);  // first message this sender put on the wire
     adopted = obs::thread_trace_id();
@@ -469,10 +471,10 @@ TEST(TraceContext, FabricStampsPropagatesAndClosesTheFlow) {
     const obs::ThreadTrackScope track(0);
     const obs::TraceIdScope trace(request);
     obs::TraceSpan span(&tracer, "produce", "comm", 0);
-    fabric.send(Message{.source = 0,
-                        .destination = 1,
-                        .tag = 7,
-                        .payload = std::vector<std::byte>(64)});
+    fabric->send(Message{.source = 0,
+                         .destination = 1,
+                         .tag = 7,
+                         .payload = std::vector<std::byte>(64)});
   }
   receiver.join();
 
@@ -504,6 +506,14 @@ TEST(TraceContext, FabricStampsPropagatesAndClosesTheFlow) {
   const obs::LoadedTrace loaded = obs::load_chrome_trace(out.str());
   EXPECT_EQ(loaded.events.size(), tracer.size());
   EXPECT_TRUE(obs::flow_problems(loaded).empty());
+}
+
+TEST(TraceContext, FabricStampsPropagatesAndClosesTheFlow) {
+  expect_stamps_propagate_and_close_the_flow(TransportKind::kInMemory);
+}
+
+TEST(TraceContext, SocketFabricStampsPropagatesAndClosesTheFlow) {
+  expect_stamps_propagate_and_close_the_flow(TransportKind::kUnixSocket);
 }
 
 TEST(TraceContext, UntracedSendsEmitNoFlowEvents) {
@@ -886,26 +896,38 @@ TEST(FlightRecorder, RingKeepsTheLastNOldestFirst) {
   EXPECT_TRUE(recorder.entries().empty());
 }
 
-TEST(FlightRecorder, FabricPoisoningAutoDumpsTheRing) {
+// Poisons a two-device `kind` transport, which names itself `name` in its
+// errors, after one round trip and checks the ring it dumps.
+void expect_poisoning_auto_dumps_the_ring(TransportKind kind,
+                                          const std::string& name) {
   std::ostringstream dump;
   obs::FlightRecorder recorder(/*capacity=*/8, &dump);
-  Fabric fabric(2);
-  fabric.set_flight_recorder(&recorder);
-  fabric.send(Message{.source = 0,
-                      .destination = 1,
-                      .tag = 5,
-                      .payload = std::vector<std::byte>(32)});
-  (void)fabric.recv(1, 0, 5);
-  fabric.close("device 0 fell off the mesh");
+  const auto fabric = make_transport(kind, 2);
+  fabric->set_flight_recorder(&recorder);
+  fabric->send(Message{.source = 0,
+                       .destination = 1,
+                       .tag = 5,
+                       .payload = std::vector<std::byte>(32)});
+  (void)fabric->recv(1, 0, 5);
+  fabric->close("device 0 fell off the mesh");
 
   const std::string text = dump.str();
-  EXPECT_NE(text.find("Fabric closed: device 0 fell off the mesh"),
+  EXPECT_NE(text.find(name + " closed: device 0 fell off the mesh"),
             std::string::npos);
   EXPECT_NE(text.find("send 0->1"), std::string::npos);
   EXPECT_NE(text.find("recv 0->1"), std::string::npos);
   // Recorder entries charge payload + wire frame, like the stats.
   EXPECT_NE(text.find("bytes=" + std::to_string(32 + kWireFrameBytes)),
             std::string::npos);
+}
+
+TEST(FlightRecorder, FabricPoisoningAutoDumpsTheRing) {
+  expect_poisoning_auto_dumps_the_ring(TransportKind::kInMemory, "Fabric");
+}
+
+TEST(FlightRecorder, SocketFabricPoisoningAutoDumpsTheRing) {
+  expect_poisoning_auto_dumps_the_ring(TransportKind::kUnixSocket,
+                                       "SocketFabric");
 }
 
 // --- concurrency (run under TSan in CI) ----------------------------------
@@ -975,9 +997,12 @@ TEST(ObsConcurrency, TracerMetricsTelemetryAndRecorderUnderFabricTraffic) {
   EXPECT_TRUE(obs::flow_problems(obs::load_chrome_trace(out.str())).empty());
 }
 
-TEST(InstrumentedRuntime, TransportMetricsMatchTrafficStats) {
+// One inference over `transport` with metrics attached: the transport.*
+// counters must equal the transport's own traffic statistics.
+void expect_transport_metrics_match_traffic_stats(TransportKind transport) {
   const TransformerModel model = make_model(mini_bert_spec());
-  VoltageRuntime runtime(model, PartitionScheme::even(2));
+  VoltageRuntime runtime(model, PartitionScheme::even(2),
+                         OrderPolicy::kAdaptive, transport);
   obs::MetricsRegistry metrics;
   runtime.set_metrics(&metrics);
   (void)runtime.infer(random_tokens(12, model.spec().vocab_size, 9));
@@ -991,6 +1016,14 @@ TEST(InstrumentedRuntime, TransportMetricsMatchTrafficStats) {
             stats.messages_received);
   EXPECT_EQ(metrics.counter("transport.bytes_received").value(),
             stats.bytes_received);
+}
+
+TEST(InstrumentedRuntime, TransportMetricsMatchTrafficStats) {
+  expect_transport_metrics_match_traffic_stats(TransportKind::kInMemory);
+}
+
+TEST(InstrumentedRuntime, SocketTransportMetricsMatchTrafficStats) {
+  expect_transport_metrics_match_traffic_stats(TransportKind::kUnixSocket);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "net/fabric.h"
 #include "net/socket_fabric.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 #include "runtime/voltage_runtime.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -108,12 +109,19 @@ TEST_P(TransportParam, TrafficCountersMatch) {
 }
 
 TEST_P(TransportParam, RejectsSelfSendAndBadIds) {
+  obs::MetricsRegistry metrics;  // outlives the transport that counts into it
   const auto t = make(2);
+  t->set_metrics(&metrics);
   EXPECT_THROW(t->send(Message{.source = 1, .destination = 1, .tag = 0, .payload = {}}),
                std::invalid_argument);
   EXPECT_THROW(t->send(Message{.source = 0, .destination = 9, .tag = 0, .payload = {}}),
                std::out_of_range);
+  EXPECT_THROW(t->send(Message{.source = 7, .destination = 0, .tag = 0, .payload = {}}),
+               std::out_of_range);
   EXPECT_THROW((void)t->stats(5), std::out_of_range);
+  // A rejected send never reaches the wire, so nothing counts it.
+  EXPECT_EQ(t->total_stats().messages_sent, 0U);
+  EXPECT_EQ(metrics.counter("transport.messages_sent").value(), 0U);
 }
 
 TEST_P(TransportParam, AllGatherAcrossThreads) {
