@@ -13,7 +13,8 @@
 //
 // Acceptance thresholds, checked on the fp32 model-drafter sweep at the
 // widest window (exit 1 on violation):
-//   - tokens/s >= 1.3x the single-token baseline;
+//   - tokens/s >= 1.3x the single-token baseline, as the median of five
+//     fresh baseline / W=4 pairs (one run's ratio swings with host load);
 //   - measured collective round-trips per committed token < 1;
 //   - per-step message count identical to the baseline's (window size never
 //     buys extra messages).
@@ -32,6 +33,7 @@
 
 #include "bench_util.h"
 #include "net/chaos.h"
+#include "obs/percentile.h"
 #include "runtime/distributed_decoder.h"
 #include "runtime/drafter.h"
 #include "tensor/ops.h"
@@ -208,17 +210,38 @@ int main(int argc, char** argv) {
     if (s.drafter == DrafterKind::kModel && s.window == 4) fp32_model_w4 = &s;
   }
 
-  // Acceptance thresholds on the deterministic fp32 model-drafter sweep.
-  const double speedup = fp32_baseline->tokens_per_s > 0.0
-                             ? fp32_model_w4->tokens_per_s /
-                                   fp32_baseline->tokens_per_s
-                             : 0.0;
+  // Throughput gate: the median W=4 / baseline ratio of kPairs fresh fp32
+  // pairs, alternating which runs first so drift favours neither.
+  constexpr std::size_t kPairs = 5;
+  const auto fp32_tokens_per_s = [&](DrafterKind kind, std::size_t window) {
+    return run_sweep(model, Precision::kFp32, kind, window).tokens_per_s;
+  };
+  std::vector<double> ratios;
+  std::printf("\nfp32 model W=4 / baseline tokens/s, %zu pairs:", kPairs);
+  for (std::size_t pair = 0; pair < kPairs; ++pair) {
+    double baseline = 0.0;
+    double w4 = 0.0;
+    if (pair % 2 == 0) {
+      baseline = fp32_tokens_per_s(DrafterKind::kNone, 0);
+      w4 = fp32_tokens_per_s(DrafterKind::kModel, 4);
+    } else {
+      w4 = fp32_tokens_per_s(DrafterKind::kModel, 4);
+      baseline = fp32_tokens_per_s(DrafterKind::kNone, 0);
+    }
+    ratios.push_back(baseline > 0.0 ? w4 / baseline : 0.0);
+    std::printf(" %.2fx", ratios.back());
+  }
+  std::vector<double> sorted_ratios = ratios;
+  std::sort(sorted_ratios.begin(), sorted_ratios.end());
+  const double speedup = voltage::obs::nearest_rank(sorted_ratios, 0.5);
+
+  // The message and round-trip checks are deterministic: the sweep's runs.
   const bool throughput_ok = speedup >= 1.3;
   const bool round_trips_ok = fp32_model_w4->round_trips_per_token() < 1.0;
   const bool messages_ok =
       fp32_model_w4->messages_per_step == fp32_baseline->messages_per_step;
-  std::printf("\ntokens/s model-drafter W=4 vs baseline: %.2fx (need >= "
-              "1.3x)\nround-trips per committed token: %.3f (need < 1)\n"
+  std::printf("\ntokens/s model-drafter W=4 vs baseline: median %.2fx "
+              "(need >= 1.3x)\nround-trips per committed token: %.3f (need < 1)\n"
               "messages/step W=4 vs W=0: %.1f vs %.1f (need equal)\n",
               speedup, fp32_model_w4->round_trips_per_token(),
               fp32_model_w4->messages_per_step,
@@ -251,9 +274,14 @@ int main(int argc, char** argv) {
         "}");
   }
   report.end_results();
+  std::string runs;
+  for (const double ratio : ratios) {
+    runs += (runs.empty() ? "" : ", ") + voltage::bench::num(ratio);
+  }
   report.field(
       "acceptance",
       "{\"speedup_model_w4\": " + voltage::bench::num(speedup) +
+          ", \"speedup_model_w4_runs\": [" + runs + "]" +
           ", \"throughput_ok\": " + (throughput_ok ? "true" : "false") +
           ", \"round_trips_per_token_lt_1\": " +
           (round_trips_ok ? "true" : "false") +

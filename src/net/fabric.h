@@ -12,8 +12,10 @@ namespace voltage {
 
 class Fabric final : public MailboxTransport {
  public:
-  // `devices` mailboxes, ids 0 .. devices-1.
-  explicit Fabric(std::size_t devices) : MailboxTransport("Fabric", devices) {}
+  // `devices` mailboxes, ids 0 .. devices-1. A round keeps one thread per
+  // endpoint runnable.
+  explicit Fabric(std::size_t devices)
+      : MailboxTransport("Fabric", devices, devices) {}
 
   // Puts the message straight into the destination's mailbox.
   void send(Message message) override {

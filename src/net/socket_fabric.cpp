@@ -85,8 +85,9 @@ FrameHeader parse_frame_header(
   return header;
 }
 
+// A round keeps each endpoint's thread and its reader thread runnable.
 SocketFabric::SocketFabric(std::size_t devices)
-    : MailboxTransport("SocketFabric", devices) {
+    : MailboxTransport("SocketFabric", devices, 2 * devices) {
   endpoints_.reserve(devices);
   for (std::size_t i = 0; i < devices; ++i) {
     auto ep = std::make_unique<Endpoint>();

@@ -85,9 +85,14 @@ std::vector<TraceEvent> Tracer::events() const {
                     buffer->events.end());
     }
   }
+  // By start time, a flow's end after the rest of its microsecond: a hop
+  // can take under a microsecond, and each start must precede its end.
+  const auto key = [](const TraceEvent& e) {
+    return std::pair(e.start_us, e.phase == EventPhase::kFlowEnd);
+  };
   std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.start_us < b.start_us;
+                   [&](const TraceEvent& a, const TraceEvent& b) {
+                     return key(a) < key(b);
                    });
   return merged;
 }

@@ -15,7 +15,9 @@
 // devices always run at once (their jobs block on each other); an idle
 // device holds none. The process thus keeps only as many threads as it ever
 // had busy devices at once, and no idle mesh pins threads (or their malloc
-// arenas).
+// arenas). When the K devices and the terminal fit the process's CPUs, a
+// thread whose device went idle spins briefly for the next round's job
+// before it parks (core/spin_wait.h).
 //
 // Failure containment: whichever party fails first poisons the transport
 // (Transport::close), so every peer blocked in a receive unwinds with
@@ -143,6 +145,7 @@ class DeviceMesh {
   std::unique_ptr<Transport> transport_;
   std::vector<DeviceId> everyone_;
   std::vector<DeviceId> workers_;
+  const bool spin_;  // may_spin(K + 1): device threads spin before parking
   Context context_;      // terminal thread only
   bool failed_ = false;  // terminal thread only
 

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/spin_wait.h"
 #include "net/fabric.h"
 #include "obs/critical_path.h"
 #include "obs/json.h"
@@ -552,6 +553,27 @@ TEST(TraceContext, FlowProblemsFlagsDanglingArrows) {
   ASSERT_EQ(problems.size(), 2U);
 }
 
+TEST(TraceContext, FlowEndInItsStartsMicrosecondStillFollowsIt) {
+  // A sub-microsecond hop stamps both ends with one time; the export must
+  // still put the start first, whichever was recorded first.
+  obs::Tracer tracer;
+  for (const obs::EventPhase phase :
+       {obs::EventPhase::kFlowEnd, obs::EventPhase::kFlowStart}) {
+    obs::TraceEvent event;
+    event.name = "msg";
+    event.category = "flow";
+    event.track = phase == obs::EventPhase::kFlowStart ? 0 : 1;
+    event.start_us = 5;
+    event.trace = 1;
+    event.phase = phase;
+    event.flow_id = 33;
+    tracer.record(event);
+  }
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  EXPECT_TRUE(obs::flow_problems(obs::load_chrome_trace(out.str())).empty());
+}
+
 TEST(TraceContext, EnsureTraceIdRespectsAmbientAndMintsOtherwise) {
   const std::uint64_t fresh = obs::ensure_trace_id();
   EXPECT_NE(fresh, 0U);
@@ -1024,6 +1046,57 @@ TEST(InstrumentedRuntime, TransportMetricsMatchTrafficStats) {
 
 TEST(InstrumentedRuntime, SocketTransportMetricsMatchTrafficStats) {
   expect_transport_metrics_match_traffic_stats(TransportKind::kUnixSocket);
+}
+
+// --- spin outcomes: transport.recv_spin_hits / transport.recv_parks -------
+
+// `trips` ping-pongs between devices 0 and 1 of `fabric`, replies at once.
+void ping_pong(Fabric& fabric, std::size_t trips) {
+  std::thread ponger([&] {
+    for (std::size_t i = 0; i < trips; ++i) {
+      (void)fabric.recv(1, 0, 1);
+      fabric.send(Message{.source = 1, .destination = 0, .tag = 2,
+                          .payload = {}});
+    }
+  });
+  for (std::size_t i = 0; i < trips; ++i) {
+    fabric.send(Message{.source = 0, .destination = 1, .tag = 1,
+                        .payload = {}});
+    (void)fabric.recv(0, 1, 2);
+  }
+  ponger.join();
+}
+
+TEST(SpinOutcomes, ImmediateRepliesCountSpinHits) {
+  if (!may_spin(2)) GTEST_SKIP() << "this host does not spin";
+  obs::MetricsRegistry metrics;
+  Fabric fabric(2);
+  fabric.set_metrics(&metrics);
+  ping_pong(fabric, 100);
+  EXPECT_GT(metrics.counter("transport.recv_spin_hits").value(), 0U);
+}
+
+TEST(SpinOutcomes, LateMessageCountsOnePark) {
+  obs::MetricsRegistry metrics;
+  Fabric fabric(2);
+  fabric.set_metrics(&metrics);
+  std::thread late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    fabric.send(Message{.source = 0, .destination = 1, .tag = 1,
+                        .payload = {}});
+  });
+  (void)fabric.recv(1, 0, 1);
+  late.join();
+  EXPECT_EQ(metrics.counter("transport.recv_parks").value(), 1U);
+  EXPECT_EQ(metrics.counter("transport.recv_spin_hits").value(), 0U);
+}
+
+TEST(SpinOutcomes, FabricWithMoreEndpointsThanCpusNeverSpins) {
+  obs::MetricsRegistry metrics;
+  Fabric fabric(usable_cpus() + 1);
+  fabric.set_metrics(&metrics);
+  ping_pong(fabric, 100);
+  EXPECT_EQ(metrics.counter("transport.recv_spin_hits").value(), 0U);
 }
 
 }  // namespace
