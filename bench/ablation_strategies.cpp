@@ -4,16 +4,13 @@
 //     (star and ring all-reduce) / pipeline parallelism;
 //   * saturated-stream throughput, where pipelining finally pays off;
 //   * heterogeneous clusters: even vs proportional vs optimizer-planned
-//     partition schemes (DESIGN.md ablation #3);
-//   * linear-attention extension: per-layer sync volume vs softmax Voltage.
+//     partition schemes (DESIGN.md ablation #3).
 #include <cstdio>
 
 #include "bench_util.h"
-#include "collective/cost.h"
 #include "parallel/latency_model.h"
 #include "parallel/pipeline.h"
 #include "plan/planner.h"
-#include "transformer/linear_attention.h"
 #include "transformer/zoo.h"
 
 namespace {
@@ -93,36 +90,6 @@ void heterogeneous_table() {
               plan.predicted_latency, plan.evaluations);
 }
 
-void linear_attention_table() {
-  std::printf("\nlinear-attention extension (SVII-C): per-device per-layer "
-              "sync volume\n");
-  std::printf("%-28s %14s %16s\n", "layer geometry",
-              "softmax (KB)", "linear-attn (KB)");
-  bench::print_rule(62);
-  struct Geo {
-    const char* name;
-    std::size_t n, f, h, fh;
-  };
-  for (const Geo g : {Geo{"BERT-Large (N=200)", 200, 1024, 16, 64},
-                      Geo{"ViT-Base  (N=197)", 197, 768, 12, 64},
-                      Geo{"GPT-2     (N=200)", 200, 768, 12, 64}}) {
-    const LayerConfig cfg{.hidden = g.f,
-                          .heads = g.h,
-                          .head_dim = g.fh,
-                          .ffn_dim = 4 * g.f,
-                          .activation = Activation::kGelu};
-    const double softmax_kb =
-        static_cast<double>(voltage_elements_per_device_layer(g.n, g.f, 6)) *
-        4.0 / 1024.0;
-    const double linear_kb =
-        static_cast<double>(linear_attention_sync_elements(cfg)) * 4.0 /
-        1024.0;
-    std::printf("%-28s %14.1f %16.1f\n", g.name, softmax_kb, linear_kb);
-  }
-  std::printf("(linear attention all-reduces H * F_H * (F_H + 1) state "
-              "elements — independent of N)\n");
-}
-
 }  // namespace
 
 int main() {
@@ -130,6 +97,5 @@ int main() {
               "===\n");
   strategy_table();
   heterogeneous_table();
-  linear_attention_table();
   return 0;
 }

@@ -10,7 +10,6 @@
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "tensor/serialize.h"
-#include "transformer/linear_attention.h"
 #include "transformer/weights.h"
 #include "transformer/zoo.h"
 
@@ -247,23 +246,6 @@ void BM_QuantizedMatmul(benchmark::State& state) {
                           256 * 256 * 256);
 }
 BENCHMARK(BM_QuantizedMatmul);
-
-// Linear attention head vs the softmax head at full sequence length.
-void BM_LinearAttentionHead(benchmark::State& state) {
-  const LayerConfig cfg{.hidden = 1024,
-                        .heads = 16,
-                        .head_dim = 64,
-                        .ffn_dim = 4096,
-                        .activation = Activation::kGelu};
-  Rng rng(9);
-  const LayerWeights w = init_layer_weights(cfg, rng);
-  const Tensor x = rng.normal_tensor(200, cfg.hidden, 1.0F);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        linear_attention_head_full(x, w.attention.heads[0]));
-  }
-}
-BENCHMARK(BM_LinearAttentionHead);
 
 // Round trip through a real kernel socket (message cost of the mesh).
 void BM_SocketRoundTrip(benchmark::State& state) {

@@ -14,7 +14,6 @@
 
 #include "bench_util.h"
 #include "collective/cost.h"
-#include "train/comm.h"
 #include "transformer/zoo.h"
 
 namespace {

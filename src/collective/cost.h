@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "net/link.h"
+#include "transformer/config.h"
 
 namespace voltage {
 
@@ -55,5 +56,39 @@ namespace voltage {
 [[nodiscard]] std::uint64_t tp_elements_per_device_layer(std::size_t n,
                                                          std::size_t f,
                                                          std::size_t k);
+
+// --- paper §V-C training communication -----------------------------------
+//
+// The §V-C closing argument, quantified. Tensor parallelism synchronizes
+// per SAMPLE, per LAYER, in both passes: two activation all-reduces forward
+// (4(K-1)NF/K per device) and the transposed gradient all-reduces backward
+// (another 4(K-1)NF/K).
+//
+// Voltage replicates the weights; the inference-style forward still costs
+// its (K-1)NF/K all-gather per layer, the backward needs the symmetric
+// gradient exchange, and then ONE ring all-reduce of the parameter
+// gradients per BATCH (2(K-1)/K · P elements per device) reconciles the
+// replicas. Per-batch totals therefore scale very differently with batch
+// size; these compute both sides and the crossover.
+
+// Per-device elements TP moves for ONE sample through an L-layer model
+// (forward + backward).
+[[nodiscard]] std::uint64_t tp_training_elements_per_device(
+    const ModelSpec& spec, std::size_t n, std::size_t k);
+
+// Per-device elements a replicated-weights (Voltage-style) training step
+// moves for a batch of `batch` samples: per-sample forward all-gathers,
+// the symmetric backward exchanges, plus one parameter-gradient ring
+// all-reduce per batch.
+[[nodiscard]] std::uint64_t voltage_training_elements_per_device(
+    const ModelSpec& spec, std::size_t n, std::size_t k, std::size_t batch);
+
+// Smallest batch size at which the replicated-weights step moves fewer
+// elements per device than TP does (0 if TP is never beaten within
+// `max_batch`).
+[[nodiscard]] std::size_t training_comm_crossover_batch(const ModelSpec& spec,
+                                                        std::size_t n,
+                                                        std::size_t k,
+                                                        std::size_t max_batch);
 
 }  // namespace voltage

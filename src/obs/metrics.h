@@ -3,8 +3,7 @@
 // Counters are single relaxed atomics — cheap enough for the transport send
 // path. Histograms keep exact samples under a mutex (requests are the unit
 // of recording here, not packets) and snapshot to the repo-wide nearest-rank
-// percentile convention (obs/percentile.h), shared with the serving stats
-// and the fleet simulator.
+// percentile convention (obs/percentile.h), shared with the serving stats.
 //
 // A MetricsRegistry hands out stable references, so hot paths resolve a
 // metric once at attach time and never touch the name map again.

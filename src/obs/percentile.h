@@ -1,11 +1,10 @@
 // Nearest-rank percentile, the one quantile convention of the repo.
 //
-// PR 4 standardized serve's LatencyStats and obs::Histogram::snapshot on
+// obs::Histogram::snapshot, which serve's LatencyStats are read from, uses
 // nearest-rank (rank ceil(q*n), 1-based): the smallest sample such that at
 // least a fraction q of the distribution is at or below it. This header is
-// the single implementation all of them call — obs::Histogram, which the
-// fleet simulator records into, included — so identical samples yield
-// bit-identical percentiles everywhere.
+// the single implementation, so identical samples yield bit-identical
+// percentiles everywhere.
 #pragma once
 
 #include <algorithm>

@@ -82,37 +82,4 @@ enum class AllReduceAlgo : std::uint8_t { kStar, kRing };
     const ModelSpec& spec, std::size_t n, const sim::Cluster& cluster,
     AllReduceAlgo algo = AllReduceAlgo::kStar);
 
-// --- Fleet-simulator calibration hooks -------------------------------------
-
-// Wall time one continuous-batching decode step spends on the wire, for a
-// measured per-step message/byte profile (BENCH_serving.json: message count
-// constant in batch, bytes sublinear) priced over `link`. The step's
-// messages are the chatty kind the paper's link model was built for — each
-// pays the per-message latency, and the step's bytes serialize at link
-// bandwidth. sim::MeshModel::with_link uses this to re-price the measured
-// occupancy curve from the loopback calibration link onto an edge link
-// (inline so the sim layer can price wire without linking voltage_parallel,
-// which itself links voltage_sim).
-[[nodiscard]] inline Seconds decode_step_wire_time(double messages,
-                                                   double bytes,
-                                                   const LinkModel& link) {
-  return messages * link.per_message_latency + bytes * 8.0 / link.bandwidth_bps;
-}
-
-// Multi-row decode step (a speculative verify window or a multi-token
-// extend): the round still sends the same `messages` — that is the whole
-// point of the window protocol — but its payload grows linearly in the rows
-// carried: `fixed_bytes` of per-step framing plus `bytes_per_row` for each
-// verified position (embedded row out, per-row merge triples and final
-// hidden row back). Per-message latency is therefore amortized over `rows`
-// while serialization is not.
-[[nodiscard]] inline Seconds decode_step_wire_time(double messages,
-                                                   double fixed_bytes,
-                                                   double bytes_per_row,
-                                                   double rows,
-                                                   const LinkModel& link) {
-  return decode_step_wire_time(messages, fixed_bytes + bytes_per_row * rows,
-                               link);
-}
-
 }  // namespace voltage

@@ -22,8 +22,7 @@
 //     deadline).
 //
 // Queue-wait, service and total sojourn times are recorded per request, plus
-// time-to-first-token and per-token decode latency for generations, so real
-// deployments can be compared against the fleet simulation in sim/fleet.h;
+// time-to-first-token and per-token decode latency for generations;
 // attach an obs::Tracer to see each request's queue_wait and service spans
 // (with request ids) on the serving track of the trace, next to the
 // batch-size-annotated decode.step spans the decoder emits while serving it.

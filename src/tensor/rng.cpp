@@ -19,12 +19,6 @@ float Rng::next_uniform() noexcept {
   return static_cast<float>(next_u64() >> 40) * 0x1.0p-24F;
 }
 
-double Rng::next_uniform_double() noexcept {
-  // 53 top bits centered on the grid midpoints: (k + 0.5) * 2^-53 for
-  // k in [0, 2^53), i.e. (0, 1) open at both ends.
-  return (static_cast<double>(next_u64() >> 11) + 0.5) * 0x1.0p-53;
-}
-
 float Rng::next_normal() noexcept {
   if (have_spare_) {
     have_spare_ = false;

@@ -18,13 +18,6 @@ class Rng {
   std::uint64_t next_u64() noexcept;
   // Uniform in [0, 1).
   float next_uniform() noexcept;
-  // Uniform in (0, 1), open at BOTH ends, 53-bit resolution. This is the
-  // generator for inverse-CDF sampling (-log(u), u^(-1/alpha), ...): the
-  // 24-bit next_uniform() returns exactly 0 with probability 2^-24, which
-  // any clamp turns into a phantom extreme draw — at 10M+ samples those
-  // corrupt max/p99 statistics. Here the smallest value is 2^-54 and the
-  // transforms stay finite without clamping.
-  double next_uniform_double() noexcept;
   // Standard normal via Box-Muller.
   float next_normal() noexcept;
   // Uniform integer in [0, bound).

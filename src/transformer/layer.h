@@ -23,8 +23,6 @@ class TransformerLayer {
   [[nodiscard]] const LayerWeights& weights() const noexcept {
     return weights_;
   }
-  // Mutable access for training updates (train/sgd.h applies SGD through it).
-  [[nodiscard]] LayerWeights& mutable_weights() noexcept { return weights_; }
 
  private:
   LayerConfig config_;

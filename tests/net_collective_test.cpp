@@ -1,5 +1,6 @@
 // Tests of the message fabric and the real collectives, including the
-// paper's §V-C communication-volume formulas measured on actual traffic.
+// paper's §V-C communication-volume formulas measured on actual traffic,
+// and the §V-C training-communication accounting.
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "tensor/serialize.h"
+#include "transformer/zoo.h"
 
 namespace voltage {
 namespace {
@@ -464,6 +466,58 @@ TEST(LinkModel, TransferTimeComposition) {
   // 100 Mbps = 12.5 MB/s; 1.25 MB takes 0.1 s + 1 ms latency.
   EXPECT_NEAR(link.transfer_time(1'250'000), 0.101, 1e-9);
   EXPECT_THROW((void)LinkModel::mbps(0), std::invalid_argument);
+}
+
+// --- §V-C training communication ----------------------------------------------
+
+TEST(TrainingComm, TpPaysTwiceItsInferenceVolume) {
+  const ModelSpec spec = bert_large_spec();
+  // Forward + transposed backward = 2x the inference all-reduce volume.
+  EXPECT_EQ(tp_training_elements_per_device(spec, 200, 4),
+            2ULL * spec.num_layers *
+                tp_elements_per_device_layer(200, 1024, 4));
+}
+
+TEST(TrainingComm, WeightSyncAmortizesOverBatch) {
+  const ModelSpec spec = bert_large_spec();
+  const std::uint64_t b1 =
+      voltage_training_elements_per_device(spec, 200, 4, 1);
+  const std::uint64_t b8 =
+      voltage_training_elements_per_device(spec, 200, 4, 8);
+  // Eight samples cost far less than 8x one sample: the parameter sync is
+  // paid once per batch.
+  EXPECT_LT(b8, 8 * b1);
+}
+
+TEST(TrainingComm, CrossoverExistsAndIsFinite) {
+  // BERT-Large has ~335M parameters, so the per-batch weight sync dwarfs
+  // per-sample activation traffic at small batches — TP wins training at
+  // batch 1 (exactly the paper's point that Voltage targets inference) but
+  // the replicated-weights step wins once the batch amortizes the sync.
+  const ModelSpec spec = bert_large_spec();
+  const std::size_t crossover =
+      training_comm_crossover_batch(spec, 200, 4, 4096);
+  EXPECT_GT(crossover, 1U);
+  EXPECT_LT(crossover, 4096U);
+  // Below the crossover TP moves fewer elements.
+  EXPECT_GT(voltage_training_elements_per_device(spec, 200, 4, 1),
+            tp_training_elements_per_device(spec, 200, 4));
+  // The crossovers table_training_comm prints and EXPERIMENTS.md quotes,
+  // at every K the table sweeps.
+  for (const std::size_t k : {2U, 4U, 6U}) {
+    EXPECT_EQ(training_comm_crossover_batch(spec, 200, k, 4096), 23U)
+        << "K=" << k;
+    EXPECT_EQ(training_comm_crossover_batch(gpt2_spec(), 200, k, 4096), 30U)
+        << "K=" << k;
+    EXPECT_EQ(training_comm_crossover_batch(vit_base_spec(), 197, k, 4096),
+              16U) << "K=" << k;
+  }
+}
+
+TEST(TrainingComm, SingleDeviceIsFree) {
+  const ModelSpec spec = gpt2_spec();
+  EXPECT_EQ(voltage_training_elements_per_device(spec, 200, 1, 16), 0U);
+  EXPECT_EQ(tp_training_elements_per_device(spec, 200, 1), 0U);
 }
 
 }  // namespace
