@@ -382,6 +382,11 @@ void DistributedDecoder::step_device(std::size_t i, const DecodeCommand& cmd,
     // LayerNorm, FFN) is bitwise row-independent, so each row equals a
     // sequential step of its slot; the int8 tail keeps the invariant via
     // per-row activation scales.
+    obs::TraceSpan span(tracer, "decode_tail", "compute",
+                        static_cast<obs::TrackId>(i));
+    span.device(static_cast<std::int64_t>(i))
+        .layer(static_cast<std::int64_t>(l))
+        .batch(static_cast<std::int64_t>(rows_total));
     if (int8 != nullptr) {
       x = int8->decode_step_tail(l, merged, x);
     } else {
@@ -514,6 +519,9 @@ DistributedDecoder::PrimedSlot DistributedDecoder::prime_slot(
                             .prompt_len = prompt.size()};
     span.bytes(static_cast<std::int64_t>(transport.total_stats().bytes_sent -
                                          bytes_before));
+    obs::TraceSpan head(mesh_->tracer(), "postprocess", "compute",
+                        static_cast<obs::TrackId>(terminal_id()));
+    head.device(static_cast<std::int64_t>(terminal_id()));
     return PrimedSlot{.slot = slot, .logits = model_.postprocess(last_row)};
   });
 }
@@ -618,7 +626,15 @@ DistributedDecoder::WindowRound DistributedDecoder::run_window_round(
     if (last_rows.rows() != rows_total) {
       throw std::runtime_error("DistributedDecoder: malformed final rows");
     }
-    WindowRound round{.logits = model_.postprocess_rows(last_rows),
+    Tensor logits(0, 0);
+    {
+      obs::TraceSpan head(mesh_->tracer(), "postprocess", "compute",
+                          static_cast<obs::TrackId>(terminal_id()));
+      head.device(static_cast<std::int64_t>(terminal_id()))
+          .batch(static_cast<std::int64_t>(rows_total));
+      logits = model_.postprocess_rows(last_rows);
+    }
+    WindowRound round{.logits = std::move(logits),
                       .row_begin = std::move(row_begin),
                       .accepted = std::vector<std::size_t>(windows.size(), 0)};
     // Greedy longest-prefix acceptance — the same pass every worker runs on
