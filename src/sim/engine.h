@@ -16,9 +16,6 @@ class Engine {
  public:
   // Schedules `fn` at absolute virtual time `t`; throws if t is in the past.
   void schedule(SimTime t, std::function<void()> fn);
-  void schedule_after(SimTime dt, std::function<void()> fn) {
-    schedule(now_ + dt, std::move(fn));
-  }
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }

@@ -39,7 +39,7 @@ TEST(Engine, EventsCanScheduleEvents) {
   Engine engine;
   double fired_at = -1.0;
   engine.schedule(1.0, [&] {
-    engine.schedule_after(0.5, [&] { fired_at = engine.now(); });
+    engine.schedule(engine.now() + 0.5, [&] { fired_at = engine.now(); });
   });
   engine.run();
   EXPECT_DOUBLE_EQ(fired_at, 1.5);
