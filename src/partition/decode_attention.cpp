@@ -188,11 +188,10 @@ class PartialKernel {
         s *= inv_sqrt_;
         m = std::max(m, s);
       }
+      for (float& s : weights_) s -= m;
+      detail::exp(weights_.data(), weights_.data(), p);
       float denom = 0.0F;
-      for (float& s : weights_) {
-        s = std::exp(s - m);
-        denom += s;
-      }
+      for (const float s : weights_) denom += s;
       // Weighted sum: one plain GEMV per page of its exp weights; pages run
       // oldest first, so every column sums in increasing position order.
       cache.for_each_page(

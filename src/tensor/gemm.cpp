@@ -83,6 +83,10 @@ void gemv(const float* a, const float* b, std::size_t ldb, bool trans_b,
   dispatch().gemv(a, b, ldb, trans_b, c, k, n);
 }
 
+void gelu(const float* x, float* y, std::size_t n) { dispatch().gelu(x, y, n); }
+
+void exp(const float* x, float* y, std::size_t n) { dispatch().exp(x, y, n); }
+
 void gemm_reference(const float* a, bool trans_a, const float* b, bool trans_b,
                     float* c, std::size_t m, std::size_t k, std::size_t n) {
   dispatch().reference(a, trans_a, b, trans_b, c, m, k, n);

@@ -71,13 +71,25 @@ void gemm_tt(const float* a, const float* b, float* c, std::size_t m,
 void gemv(const float* a, const float* b, std::size_t ldb, bool trans_b,
           float* c, std::size_t k, std::size_t n);
 
+// Elementwise kernels, y[i] = f(x[i]) for i < n; y may alias x. Each
+// vectorizes across elements and runs its ragged tail through the same
+// masked vector operations, and each is bitwise equal to a scalar
+// reference built from the same multiply-accumulate in the same TU.
+//   gelu: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), tanh as a
+//         clamped rational minimax fit; within 4e-6 of the exact formula
+//         on [-12, 12].
+//   exp:  e^x by range reduction and a polynomial; within 4 ulp of e^x on
+//         [-87, 0]. e^-inf = +0, e^+inf = +inf, NaN stays NaN.
+void gelu(const float* x, float* y, std::size_t n);
+void exp(const float* x, float* y, std::size_t n);
+
 // Naive i-j-k triple loop, one accumulator per element in strictly
 // increasing k order — the bitwise reference the tiled kernels must match.
 // Dispatched to the same TU as the kernels above.
 void gemm_reference(const float* a, bool trans_a, const float* b, bool trans_b,
                     float* c, std::size_t m, std::size_t k, std::size_t n);
 
-// One compiled ISA instantiation of the kernels above; its reference comes
+// One compiled ISA instantiation of the kernels above; its references come
 // from the same TU.
 struct GemmVariant {
   const char* arch;  // "avx512", "avx2", or "base"
@@ -89,6 +101,10 @@ struct GemmVariant {
   void (*reference)(const float* a, bool trans_a, const float* b,
                     bool trans_b, float* c, std::size_t m, std::size_t k,
                     std::size_t n);
+  void (*gelu)(const float* x, float* y, std::size_t n);
+  void (*gelu_reference)(const float* x, float* y, std::size_t n);
+  void (*exp)(const float* x, float* y, std::size_t n);
+  void (*exp_reference)(const float* x, float* y, std::size_t n);
 };
 
 // Every variant compiled into this binary that the host CPU can execute,

@@ -1,12 +1,18 @@
 // Bitwise contracts of the blocked GEMM substrate (src/tensor/gemm.h):
-// every kernel variant must equal the naive i-j-k reference exactly, results
+// every kernel variant must equal the naive i-j-k reference exactly (and
+// each elementwise kernel its scalar reference, within stated accuracy of
+// double precision), results
 // must not change with the intra-op thread budget, transposed operands must
 // never be materialized, and the distributed runtime must reproduce
 // single-device inference bit for bit under the naive attention order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -231,6 +237,177 @@ TEST(GemmKernels, MacAccountingIsExactUnderThreading) {
 TEST(GemmKernels, DispatchReportsAKnownArch) {
   const std::string_view arch = detail::gemm_kernel_arch();
   EXPECT_TRUE(arch == "avx512" || arch == "avx2" || arch == "base") << arch;
+}
+
+// --- Elementwise kernels (tanh-GELU, exp) ---------------------------------
+
+using Elementwise = void (*)(const float* x, float* y, std::size_t n);
+
+struct ElementwiseCase {
+  const char* name;
+  Elementwise kernel;
+  Elementwise reference;
+  float lo, hi;  // input range of the random sweep
+};
+
+std::vector<ElementwiseCase> elementwise_cases(
+    const detail::GemmVariant& variant) {
+  return {{"gelu", variant.gelu, variant.gelu_reference, -12.0F, 12.0F},
+          {"exp", variant.exp, variant.exp_reference, -120.0F, 95.0F}};
+}
+
+// Every length 0..67 at every offset 0..15 from a 64-byte boundary, so each
+// vector width sees full vectors, a masked tail and unaligned loads. Output
+// slots before the offset and past the end keep their sentinel, and the
+// in-place call equals the out-of-place one.
+TEST(ElementwiseKernels, MatchTheirReferenceBitwiseAtEveryLengthAndOffset) {
+  constexpr std::size_t kMaxLen = 67;
+  constexpr std::size_t kOffsets = 16;
+  constexpr float kSentinel = 12345.0F;
+  for (const detail::GemmVariant& variant : detail::gemm_variants()) {
+    for (const ElementwiseCase& c : elementwise_cases(variant)) {
+      SCOPED_TRACE(std::string(variant.arch) + " " + c.name);
+      Rng rng(31);
+      const Tensor input = rng.uniform_tensor(1, kMaxLen + kOffsets, c.lo,
+                                              c.hi);
+      alignas(64) float x[kMaxLen + kOffsets + 16];
+      alignas(64) float y[kMaxLen + kOffsets + 16];
+      alignas(64) float ref[kMaxLen + kOffsets + 16];
+      for (std::size_t off = 0; off < kOffsets; ++off) {
+        for (std::size_t n = 0; n <= kMaxLen; ++n) {
+          std::copy_n(input.data(), kMaxLen + kOffsets, x);
+          std::fill(std::begin(y), std::end(y), kSentinel);
+          std::fill(std::begin(ref), std::end(ref), kSentinel);
+          c.kernel(x + off, y + off, n);
+          c.reference(x + off, ref + off, n);
+          ASSERT_EQ(std::memcmp(y, ref, sizeof(y)), 0)
+              << "n=" << n << " offset=" << off;
+          c.kernel(x + off, x + off, n);
+          ASSERT_EQ(std::memcmp(x + off, y + off, n * sizeof(float)), 0)
+              << "in place, n=" << n << " offset=" << off;
+        }
+      }
+    }
+  }
+}
+
+// NaN in gives NaN out, signed zeros keep their sign, and +-inf behave as
+// the std::tanh / std::exp forms did: GELU(+inf) = +inf, GELU(-inf) = NaN
+// (-inf * 0), e^+inf = +inf, e^-inf = +0. Each special value sits in a full
+// vector and in the masked tail.
+TEST(ElementwiseKernels, SpecialValuesOnEveryVariant) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> specials = {nan, 0.0F, -0.0F, inf, -inf};
+  for (const detail::GemmVariant& variant : detail::gemm_variants()) {
+    for (const ElementwiseCase& c : elementwise_cases(variant)) {
+      for (const Elementwise f : {c.kernel, c.reference}) {
+        SCOPED_TRACE(std::string(variant.arch) + " " + c.name);
+        for (const std::size_t at : {0U, 7U, 16U, 19U}) {
+          std::vector<float> x(20, 0.5F);
+          std::vector<float> y(20);
+          for (const float v : specials) {
+            x[at] = v;
+            f(x.data(), y.data(), x.size());
+            const float out = y[at];
+            SCOPED_TRACE("input " + std::to_string(v) + " at " +
+                         std::to_string(at));
+            if (std::isnan(v)) {
+              EXPECT_TRUE(std::isnan(out));
+            } else if (v == 0.0F && std::string_view(c.name) == "gelu") {
+              EXPECT_EQ(out, 0.0F);
+              EXPECT_EQ(std::signbit(out), std::signbit(v));
+            } else if (v == 0.0F) {
+              EXPECT_EQ(out, 1.0F);
+            } else if (v > 0.0F) {
+              EXPECT_EQ(out, inf);
+            } else if (std::string_view(c.name) == "gelu") {
+              EXPECT_TRUE(std::isnan(out));
+            } else {
+              EXPECT_EQ(out, 0.0F);
+              EXPECT_FALSE(std::signbit(out));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Spacing of floats at |v|, the unit of the exp bound.
+double float_ulp(double v) {
+  const float f = static_cast<float>(std::fabs(v));
+  return static_cast<double>(
+             std::nextafter(f, std::numeric_limits<float>::infinity())) -
+         static_cast<double>(f);
+}
+
+// Accuracy against double precision on a 1e-5 grid: GELU within 4e-6 of
+// the exact tanh form over [-12, 12], e^x within 4 ulp over [-87, 0] (the
+// range softmax arguments live in; below it e^x is subnormal).
+TEST(ElementwiseKernels, AccurateAgainstDoublePrecisionOnEveryVariant) {
+  std::vector<float> gx;
+  for (long i = -1200000; i <= 1200000; ++i) {
+    gx.push_back(static_cast<float>(static_cast<double>(i) * 1e-5));
+  }
+  std::vector<float> ex;
+  for (long i = -8700000; i <= 0; ++i) {
+    ex.push_back(static_cast<float>(static_cast<double>(i) * 1e-5));
+  }
+  for (const detail::GemmVariant& variant : detail::gemm_variants()) {
+    SCOPED_TRACE(variant.arch);
+    std::vector<float> y(gx.size());
+    variant.gelu(gx.data(), y.data(), gx.size());
+    double gelu_err = 0.0;
+    for (std::size_t i = 0; i < gx.size(); ++i) {
+      const double v = gx[i];
+      const double exact =
+          0.5 * v *
+          (1.0 + std::tanh(0.7978845608028654 * (v + 0.044715 * v * v * v)));
+      gelu_err = std::max(gelu_err, std::fabs(y[i] - exact));
+    }
+    EXPECT_LT(gelu_err, 4e-6);
+    y.resize(ex.size());
+    variant.exp(ex.data(), y.data(), ex.size());
+    double exp_ulps = 0.0;
+    for (std::size_t i = 0; i < ex.size(); ++i) {
+      const double exact = std::exp(static_cast<double>(ex[i]));
+      exp_ulps = std::max(exp_ulps, std::fabs(y[i] - exact) / float_ulp(exact));
+    }
+    EXPECT_LE(exp_ulps, 4.0);
+  }
+}
+
+// gelu and softmax_rows are row-independent: each row of a [3 x 37] tensor
+// with causal -inf entries equals the same row computed alone, although
+// the rows start at different vector lanes. The entry points dispatch to
+// the first variant.
+TEST(ElementwiseKernels, RowsEqualTheSameRowsAloneAndEntriesDispatchFirst) {
+  Rng rng(9);
+  Tensor x = rng.normal_tensor(3, 37, 3.0F);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t c = 34 + r; c < x.cols(); ++c) {
+      x(r, c) = -std::numeric_limits<float>::infinity();
+    }
+  }
+  const Tensor g = gelu(x);
+  const Tensor s = softmax_rows(x, 0.125F);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const Tensor row = x.slice_rows(r, r + 1);
+    expect_bitwise(gelu(row), g.slice_rows(r, r + 1));
+    expect_bitwise(softmax_rows(row, 0.125F), s.slice_rows(r, r + 1));
+  }
+
+  const detail::GemmVariant& first = detail::gemm_variants().front();
+  const Tensor in = rng.uniform_tensor(1, 53, -20.0F, 5.0F);
+  Tensor entry(1, 53);
+  Tensor direct(1, 53);
+  detail::gelu(in.data(), entry.data(), in.size());
+  first.gelu(in.data(), direct.data(), in.size());
+  expect_bitwise(entry, direct);
+  detail::exp(in.data(), entry.data(), in.size());
+  first.exp(in.data(), direct.data(), in.size());
+  expect_bitwise(entry, direct);
 }
 
 TEST(GemmDeterminism, ModelForwardBitwiseIdenticalAcrossIntraOpBudgets) {
