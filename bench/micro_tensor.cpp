@@ -146,6 +146,64 @@ BENCHMARK(BM_MatmulThreaded)
     ->Args({512, 4})
     ->ArgNames({"n", "threads"});
 
+// A weight GEMM on one thread, as a device runs it: C = X W, with W
+// pre-packed (packed:1, a PackedMatrix as the model stores W_O, W1, W2 and
+// its heads) or row-major and packed on every call (packed:0). Shapes:
+// distilbert's FFN-up GEMM over a 53-row edge partition, and mini-gpt2's
+// FFN-up over a three-row batched decode step. Items are MACs.
+void BM_WeightMatmul(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  Rng rng(24);
+  const Tensor x = rng.normal_tensor(m, k, 1.0F);
+  const Tensor w = rng.normal_tensor(k, n, 1.0F);
+  const PackedMatrix packed(w);
+  const IntraOpScope scope(1);
+  for (auto _ : state) {
+    if (state.range(3) != 0) {
+      benchmark::DoNotOptimize(matmul(x, packed));
+    } else {
+      benchmark::DoNotOptimize(matmul(x, w));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * m *
+                          k * n);
+}
+BENCHMARK(BM_WeightMatmul)
+    ->Args({53, 768, 3072, 0})
+    ->Args({53, 768, 3072, 1})
+    ->Args({3, 128, 512, 0})
+    ->Args({3, 128, 512, 1})
+    ->ArgNames({"m", "k", "n", "packed"});
+
+// One row through a weight: the packed-panel GEMV (packed:1) against the
+// row-major GEMV (packed:0). Shapes: mini-gpt2's LM head and its W_O.
+// Items are MACs.
+void BM_WeightGemv(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  Rng rng(25);
+  const Tensor x = rng.normal_tensor(1, k, 1.0F);
+  const Tensor w = rng.normal_tensor(k, n, 1.0F);
+  const PackedMatrix packed(w);
+  for (auto _ : state) {
+    if (state.range(2) != 0) {
+      benchmark::DoNotOptimize(matmul(x, packed));
+    } else {
+      benchmark::DoNotOptimize(matmul(x, w));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k *
+                          n);
+}
+BENCHMARK(BM_WeightGemv)
+    ->Args({128, 1024, 0})
+    ->Args({128, 1024, 1})
+    ->Args({128, 128, 0})
+    ->Args({128, 128, 1})
+    ->ArgNames({"k", "n", "packed"});
+
 // Items are elements (softmax_rows makes one exp per element).
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(3);

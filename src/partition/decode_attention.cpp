@@ -183,11 +183,8 @@ class PartialKernel {
             detail::gemv(query, rows + key_col, cache.stride(), true,
                          weights_.data() + first, fh_, count);
           });
-      float m = kNegInf;
-      for (float& s : weights_) {
-        s *= inv_sqrt_;
-        m = std::max(m, s);
-      }
+      for (float& s : weights_) s *= inv_sqrt_;
+      const float m = detail::max(weights_.data(), p);
       for (float& s : weights_) s -= m;
       detail::exp(weights_.data(), weights_.data(), p);
       float denom = 0.0F;

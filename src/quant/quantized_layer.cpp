@@ -64,12 +64,12 @@ QuantizedLayerWeights quantize_layer(const LayerWeights& w) {
         .wv = quantize_weights(h.wv),
     });
   }
-  q.wo = quantize_weights(w.attention.wo);
+  q.wo = quantize_weights(w.attention.wo.unpack());
   q.bo = w.attention.bo;
   q.ln_attention = w.ln_attention;
-  q.w1 = quantize_weights(w.ffn.w1);
+  q.w1 = quantize_weights(w.ffn.w1.unpack());
   q.b1 = w.ffn.b1;
-  q.w2 = quantize_weights(w.ffn.w2);
+  q.w2 = quantize_weights(w.ffn.w2.unpack());
   q.b2 = w.ffn.b2;
   q.ln_ffn = w.ln_ffn;
   return q;

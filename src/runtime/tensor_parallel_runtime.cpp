@@ -49,6 +49,22 @@ TensorParallelRuntime::TensorParallelRuntime(
     throw std::invalid_argument(
         "TensorParallelRuntime: more devices than attention heads");
   }
+  shards_.resize(devices);
+  for (std::size_t i = 0; i < devices; ++i) {
+    const Range heads = head_shard(i);
+    const Range ffn_cols = ffn_shard(i);
+    for (const TransformerLayer& layer : model.layers()) {
+      const LayerWeights& w = layer.weights();
+      const std::size_t fh = layer.config().head_dim;
+      shards_[i].push_back(LayerShard{
+          .wo_rows = w.attention.wo.slice_rows(heads.begin * fh,
+                                               heads.end * fh),
+          .w1_cols = w.ffn.w1.slice_cols(ffn_cols.begin, ffn_cols.end),
+          .b1_cols = w.ffn.b1.slice_cols(ffn_cols.begin, ffn_cols.end),
+          .w2_rows = w.ffn.w2.slice_rows(ffn_cols.begin, ffn_cols.end),
+      });
+    }
+  }
 }
 
 Range TensorParallelRuntime::head_shard(std::size_t device) const {
@@ -99,6 +115,7 @@ void TensorParallelRuntime::device_forward(std::size_t i) {
     const obs::ThreadLayerScope layer_scope(static_cast<std::int64_t>(l));
     const LayerConfig& cfg = layers[l].config();
     const LayerWeights& w = layers[l].weights();
+    const LayerShard& shard = shards_[i][l];
     const MessageTag tag = kTagLayerBase + l * kTagLayerStride;
 
     // --- attention: own heads, matching W_O rows, partial sum ------
@@ -110,9 +127,7 @@ void TensorParallelRuntime::device_forward(std::size_t i) {
         outs.push_back(attention_head_full(x, w.attention.heads[h],
                                            cfg.head_dim, cfg.causal));
       }
-      const Tensor wo_rows = w.attention.wo.slice_rows(
-          heads.begin * cfg.head_dim, heads.end * cfg.head_dim);
-      partial = matmul(concat_cols(outs), wo_rows);
+      partial = matmul(concat_cols(outs), shard.wo_rows);
     }
     Tensor attn = all_reduce(std::move(partial), tag);
     // Replicated position-wise tail of the attention block.
@@ -124,14 +139,11 @@ void TensorParallelRuntime::device_forward(std::size_t i) {
     // --- FFN: column shard of W1, row shard of W2, partial sum -----
     Tensor ffn_partial(n, f);
     if (!ffn_cols.empty()) {
-      Tensor hidden =
-          matmul(y, w.ffn.w1.slice_cols(ffn_cols.begin, ffn_cols.end));
-      add_bias_inplace(hidden,
-                       w.ffn.b1.slice_cols(ffn_cols.begin, ffn_cols.end));
+      Tensor hidden = matmul(y, shard.w1_cols);
+      add_bias_inplace(hidden, shard.b1_cols);
       hidden =
           cfg.activation == Activation::kGelu ? gelu(hidden) : relu(hidden);
-      ffn_partial =
-          matmul(hidden, w.ffn.w2.slice_rows(ffn_cols.begin, ffn_cols.end));
+      ffn_partial = matmul(hidden, shard.w2_rows);
     }
     Tensor ffn = all_reduce(std::move(ffn_partial), tag + kTagLayerStride / 2);
     add_bias_inplace(ffn, w.ffn.b2);

@@ -59,12 +59,23 @@ class TensorParallelRuntime {
   }
 
  private:
+  // One device's cut of one layer's sharded weights, made once at
+  // construction.
+  struct LayerShard {
+    PackedMatrix wo_rows;  // W_O rows of the device's heads
+    PackedMatrix w1_cols;  // W1 columns of its FFN shard
+    Tensor b1_cols;        // the matching b1 entries
+    PackedMatrix w2_rows;  // W2 rows of its FFN shard
+  };
+
   [[nodiscard]] Tensor run(Tensor features);
   void device_forward(std::size_t device);
 
   const TransformerModel& model_;
   std::size_t devices_;
   bool star_allreduce_;
+  // Read by the mesh's device threads, so declared before the mesh.
+  std::vector<std::vector<LayerShard>> shards_;  // [device][layer]
   DeviceMesh mesh_;
 };
 

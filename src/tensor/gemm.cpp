@@ -5,6 +5,7 @@
 #include "tensor/gemm.h"
 
 #include <array>
+#include <atomic>
 
 namespace voltage::detail {
 
@@ -50,13 +51,31 @@ const Variants& variants() noexcept {
 
 const GemmVariant& dispatch() noexcept { return variants().list[0]; }
 
+std::atomic<std::uint64_t> g_pack_b_calls{0};
+
 }  // namespace
+
+std::uint64_t pack_b_count() noexcept {
+  return g_pack_b_calls.load(std::memory_order_relaxed);
+}
+
+void count_pack_b() noexcept {
+  g_pack_b_calls.fetch_add(1, std::memory_order_relaxed);
+}
 
 void gemm_blocked(const float* a, bool trans_a, const float* b, bool trans_b,
                   float* c, std::size_t m, std::size_t i0, std::size_t i1,
                   std::size_t k, std::size_t n) {
   dispatch().blocked(a, trans_a, b, trans_b, c, m, i0, i1, k, n);
 }
+
+void gemm_packed(const float* a, const float* b_panels, float* c,
+                 std::size_t m, std::size_t i0, std::size_t i1, std::size_t k,
+                 std::size_t n) {
+  dispatch().packed(a, b_panels, c, m, i0, i1, k, n);
+}
+
+std::size_t gemm_panel_width() noexcept { return dispatch().nr; }
 
 void gemm_nn(const float* a, const float* b, float* c, std::size_t m,
              std::size_t k, std::size_t n) {
@@ -86,6 +105,8 @@ void gemv(const float* a, const float* b, std::size_t ldb, bool trans_b,
 void gelu(const float* x, float* y, std::size_t n) { dispatch().gelu(x, y, n); }
 
 void exp(const float* x, float* y, std::size_t n) { dispatch().exp(x, y, n); }
+
+float max(const float* x, std::size_t n) { return dispatch().max(x, n); }
 
 void gemm_reference(const float* a, bool trans_a, const float* b, bool trans_b,
                     float* c, std::size_t m, std::size_t k, std::size_t n) {

@@ -1,8 +1,12 @@
 // Cache-blocked, register-tiled GEMM kernels with operand packing.
 //
-// All kernels compute C += op(A) · op(B) on row-major float data, where the
-// transposed variants read the stored operand through its packing routine —
-// matmul never materializes a transposed copy of A or B.
+// All kernels compute C += op(A) · B on float data. A and C are row-major,
+// and the transposed variants read A or B through its packing routine —
+// matmul never materializes a transposed copy of A or B. B comes in one of
+// two layouts: row-major (op(B) = B or B^T), packed per call into NR-wide
+// column panels; or pre-packed, already stored as exactly those panels
+// (a PackedMatrix weight, see tensor/packed_matrix.h), which the blocked
+// loop reads in place.
 //
 // The implementation (gemm_impl.inc) is compiled three times: baseline ISA
 // (gemm_base.cpp, 4x8 tile), AVX2+FMA (gemm_avx2.cpp, 6x16 ymm tile, 8-lane
@@ -16,7 +20,7 @@
 //     k order, starting from the existing C value. The micro-kernel tile is
 //     loaded from C, accumulated in registers, and stored back once per
 //     k-block, so the per-element FP chain is identical to the naive
-//     i-j-k reference loop compiled alongside it.
+//     i-j-k reference loop compiled alongside it — whichever layout B has.
 //   * Parallel callers split the *row* dimension only (see ops.cpp); each
 //     row's chain lives entirely inside one chunk, so results are bitwise
 //     identical at any intra-op thread count, and a row-slice of a larger
@@ -25,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 namespace voltage::detail {
@@ -36,7 +41,8 @@ inline constexpr std::size_t kGemmNr = 8;
 
 // Cache blocking: the packed B panel (kKc x NR) stays L1-resident across the
 // ir sweep; the packed A block (kMc x kKc) targets L2; kNc bounds the
-// packed-B workspace.
+// packed-B workspace. kKc also fixes the pre-packed layout (see
+// gemm_packed), on every ISA.
 inline constexpr std::size_t kGemmKc = 256;
 inline constexpr std::size_t kGemmMc = 128;
 inline constexpr std::size_t kGemmNc = 1024;
@@ -49,6 +55,26 @@ inline constexpr std::size_t kGemmNc = 1024;
 void gemm_blocked(const float* a, bool trans_a, const float* b, bool trans_b,
                   float* c, std::size_t m, std::size_t i0, std::size_t i1,
                   std::size_t k, std::size_t n);
+
+// C[i0:i1, :] += A[i0:i1, :] · B for A stored m x k and B pre-packed: the
+// k x n matrix stored as the panels the blocked loop would pack per call on
+// the dispatched ISA. Rows [pc, pc + kc) of B (pc a multiple of kGemmKc, kc
+// = min(kGemmKc, k - pc)) form one block of round_up(n, NR) / NR panels,
+// each kc x NR, p-major (panel[p * NR + j]), columns past n zero; the panel
+// of block pc starting at column j sits at pc * round_up(n, NR) + j * kc.
+// A one-row range runs a GEMV over the panels, bitwise equal to gemv().
+void gemm_packed(const float* a, const float* b_panels, float* c,
+                 std::size_t m, std::size_t i0, std::size_t i1, std::size_t k,
+                 std::size_t n);
+
+// NR, the panel width gemm_packed expects on the dispatched ISA.
+std::size_t gemm_panel_width() noexcept;
+
+// Process-wide count of per-call B packs (one per column block and k block
+// of a GEMM whose B is row-major). GEMMs on pre-packed panels never bump it.
+std::uint64_t pack_b_count() noexcept;
+// Bumps pack_b_count(); called by every ISA's packing routine.
+void count_pack_b() noexcept;
 
 // Dedicated entry points per operand layout (whole problem, single thread).
 void gemm_nn(const float* a, const float* b, float* c, std::size_t m,
@@ -80,8 +106,12 @@ void gemv(const float* a, const float* b, std::size_t ldb, bool trans_b,
 //         on [-12, 12].
 //   exp:  e^x by range reduction and a polynomial; within 4 ulp of e^x on
 //         [-87, 0]. e^-inf = +0, e^+inf = +inf, NaN stays NaN.
+//   max:  the largest of x[0:n] as the chain m = std::max(m, x[i]) from
+//         m = -inf returns it: a NaN never wins, -inf when n == 0, and of
+//         equal zeros the first one, so its sign matches too.
 void gelu(const float* x, float* y, std::size_t n);
 void exp(const float* x, float* y, std::size_t n);
+float max(const float* x, std::size_t n);
 
 // Naive i-j-k triple loop, one accumulator per element in strictly
 // increasing k order — the bitwise reference the tiled kernels must match.
@@ -93,9 +123,14 @@ void gemm_reference(const float* a, bool trans_a, const float* b, bool trans_b,
 // from the same TU.
 struct GemmVariant {
   const char* arch;  // "avx512", "avx2", or "base"
+  std::size_t mr;    // register tile rows
+  std::size_t nr;    // register tile columns: the B panel width
   void (*blocked)(const float* a, bool trans_a, const float* b, bool trans_b,
                   float* c, std::size_t m, std::size_t i0, std::size_t i1,
                   std::size_t k, std::size_t n);
+  void (*packed)(const float* a, const float* b_panels, float* c,
+                 std::size_t m, std::size_t i0, std::size_t i1, std::size_t k,
+                 std::size_t n);
   void (*gemv)(const float* a, const float* b, std::size_t ldb, bool trans_b,
                float* c, std::size_t k, std::size_t n);
   void (*reference)(const float* a, bool trans_a, const float* b,
@@ -105,6 +140,7 @@ struct GemmVariant {
   void (*gelu_reference)(const float* x, float* y, std::size_t n);
   void (*exp)(const float* x, float* y, std::size_t n);
   void (*exp_reference)(const float* x, float* y, std::size_t n);
+  float (*max)(const float* x, std::size_t n);
 };
 
 // Every variant compiled into this binary that the host CPU can execute,

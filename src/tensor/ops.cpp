@@ -24,6 +24,40 @@ const char* gemm_variant(Trans ta, Trans tb) {
   return tb == Trans::kNo ? "tn" : "tt";
 }
 
+// Allocates the m x n result c and runs kernel(c, r0, r1) over row ranges
+// of it, each filling rows [r0, r1) from the k-deep product: the gemm span,
+// the row split and the MAC count every matmul shares.
+template <class Kernel>
+Tensor run_gemm(const char* variant, std::size_t m, std::size_t k,
+                std::size_t n, Kernel kernel) {
+  Tensor c(m, n);
+  if (m != 0 && n != 0 && k != 0) {
+    // Kernel-time attribution: when a tracer is ambient (device threads, the
+    // serving terminal), each GEMM reports its variant and shape so
+    // trace_report can split layer time into kernel time.
+    obs::TraceSpan span(obs::thread_tracer(), "gemm", "kernel",
+                        obs::thread_track());
+    if (span.enabled()) {
+      span.layer(obs::thread_layer());
+      span.tag(std::string(variant) + " " + std::to_string(m) + "x" +
+               std::to_string(k) + "x" + std::to_string(n));
+    }
+    // Row-panel parallelism: every chunk owns whole C rows, so each row's FP
+    // summation order — and therefore the result — is bitwise identical at
+    // any intra-op thread count. The grain keeps tasks above ~256k MACs so
+    // small GEMMs never pay pool latency.
+    constexpr std::uint64_t kMacsPerTask = 1ULL << 18;
+    const std::uint64_t row_macs = static_cast<std::uint64_t>(k) * n;
+    const std::size_t grain = static_cast<std::size_t>(
+        std::max<std::uint64_t>(detail::kGemmMr, kMacsPerTask / row_macs));
+    parallel_for(0, m, grain, [&](std::size_t r0, std::size_t r1) {
+      kernel(c.data(), r0, r1);
+    });
+  }
+  flops::add_matmul_macs(static_cast<std::uint64_t>(m) * k * n);
+  return c;
+}
+
 }  // namespace
 
 Tensor matmul(const Tensor& a, const Tensor& b, Trans ta, Trans tb) {
@@ -32,37 +66,27 @@ Tensor matmul(const Tensor& a, const Tensor& b, Trans ta, Trans tb) {
   const std::size_t kb = tb == Trans::kNo ? b.rows() : b.cols();
   const std::size_t n = tb == Trans::kNo ? b.cols() : b.rows();
   require(ka == kb, "matmul: inner dimensions do not conform");
+  const bool trans_a = ta == Trans::kYes;
+  const bool trans_b = tb == Trans::kYes;
+  return run_gemm(gemm_variant(ta, tb), m, ka, n,
+                  [&](float* c, std::size_t r0, std::size_t r1) {
+                    detail::gemm_blocked(a.data(), trans_a, b.data(), trans_b,
+                                         c, m, r0, r1, ka, n);
+                  });
+}
 
-  Tensor c(m, n);
-  if (m != 0 && n != 0 && ka != 0) {
-    // Kernel-time attribution: when a tracer is ambient (device threads, the
-    // serving terminal), each GEMM reports its variant and shape so
-    // trace_report can split layer time into kernel time.
-    obs::TraceSpan span(obs::thread_tracer(), "gemm", "kernel",
-                        obs::thread_track());
-    if (span.enabled()) {
-      span.layer(obs::thread_layer());
-      span.tag(std::string(gemm_variant(ta, tb)) + " " + std::to_string(m) +
-               "x" + std::to_string(ka) + "x" + std::to_string(n));
-    }
-    const bool trans_a = ta == Trans::kYes;
-    const bool trans_b = tb == Trans::kYes;
-    // Row-panel parallelism: every chunk owns whole C rows, so each row's FP
-    // summation order — and therefore the result — is bitwise identical at
-    // any intra-op thread count. The grain keeps tasks above ~256k MACs so
-    // small GEMMs never pay pool latency.
-    constexpr std::uint64_t kMacsPerTask = 1ULL << 18;
-    const std::uint64_t row_macs = static_cast<std::uint64_t>(ka) * n;
-    const std::size_t grain = static_cast<std::size_t>(
-        std::max<std::uint64_t>(detail::kGemmMr, kMacsPerTask / row_macs));
-    parallel_for(0, m, grain, [&, trans_a, trans_b](std::size_t r0,
-                                                    std::size_t r1) {
-      detail::gemm_blocked(a.data(), trans_a, b.data(), trans_b, c.data(), m,
-                           r0, r1, ka, n);
-    });
-  }
-  flops::add_matmul_macs(static_cast<std::uint64_t>(m) * ka * n);
-  return c;
+Tensor matmul(const Tensor& a, const PackedMatrix& w) {
+  require(a.cols() == w.rows(), "matmul: inner dimensions do not conform");
+  require(w.panel_width() == detail::gemm_panel_width(),
+          "matmul: weight packed for another panel width");
+  const std::size_t m = a.rows();
+  const std::size_t k = a.cols();
+  const std::size_t n = w.cols();
+  return run_gemm("nn", m, k, n,
+                  [&](float* c, std::size_t r0, std::size_t r1) {
+                    detail::gemm_packed(a.data(), w.panels(), c, m, r0, r1, k,
+                                        n);
+                  });
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {
@@ -116,11 +140,9 @@ Tensor softmax_rows(const Tensor& x, float pre_scale) {
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const auto in = x.row(r);
     auto o = out.row(r);
-    float maxv = -std::numeric_limits<float>::infinity();
-    for (const float v : in) maxv = std::max(maxv, v * pre_scale);
-    for (std::size_t c = 0; c < in.size(); ++c) {
-      o[c] = in[c] * pre_scale - maxv;
-    }
+    for (std::size_t c = 0; c < in.size(); ++c) o[c] = in[c] * pre_scale;
+    const float maxv = detail::max(o.data(), o.size());
+    for (float& v : o) v -= maxv;
     detail::exp(o.data(), o.data(), o.size());
     float sum = 0.0F;
     for (const float v : o) sum += v;

@@ -3,6 +3,7 @@
 // against executed work.
 #pragma once
 
+#include "tensor/packed_matrix.h"
 #include "tensor/tensor.h"
 
 namespace voltage {
@@ -13,6 +14,12 @@ enum class Trans : std::uint8_t { kNo, kYes };
 // Shapes must conform; throws std::invalid_argument otherwise.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b,
                             Trans ta = Trans::kNo, Trans tb = Trans::kNo);
+
+// C = A * W for a pre-packed weight W: the result, MAC count and gemm trace
+// span of matmul(a, w.unpack()), without packing W on every call. Throws
+// std::invalid_argument when the shapes do not conform or W was packed for
+// another ISA's panel width.
+[[nodiscard]] Tensor matmul(const Tensor& a, const PackedMatrix& w);
 
 // Elementwise sum / difference; shapes must match.
 [[nodiscard]] Tensor add(const Tensor& a, const Tensor& b);

@@ -44,6 +44,11 @@ Tensor Rng::normal_tensor(std::size_t rows, std::size_t cols, float stddev) {
   return t;
 }
 
+PackedMatrix Rng::normal_packed(std::size_t rows, std::size_t cols,
+                                float stddev) {
+  return PackedMatrix(rows, cols, [&] { return next_normal() * stddev; });
+}
+
 Tensor Rng::uniform_tensor(std::size_t rows, std::size_t cols, float lo,
                            float hi) {
   Tensor t(rows, cols);

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 
+#include "tensor/packed_matrix.h"
 #include "tensor/tensor.h"
 
 namespace voltage {
@@ -25,6 +26,9 @@ class Rng {
 
   // rows x cols tensor with N(0, stddev^2) entries.
   Tensor normal_tensor(std::size_t rows, std::size_t cols, float stddev);
+  // The same values as normal_tensor(rows, cols, stddev), drawn in the same
+  // order, stored as GEMM weight panels.
+  PackedMatrix normal_packed(std::size_t rows, std::size_t cols, float stddev);
   // rows x cols tensor uniform in [lo, hi).
   Tensor uniform_tensor(std::size_t rows, std::size_t cols, float lo, float hi);
 

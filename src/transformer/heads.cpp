@@ -11,7 +11,7 @@ namespace voltage {
 ClassifierHead::ClassifierHead(std::size_t hidden, std::size_t num_classes,
                                Pooling pooling, Rng& rng)
     : pooling_(pooling),
-      w_(rng.normal_tensor(hidden, num_classes,
+      w_(rng.normal_packed(hidden, num_classes,
                            1.0F / std::sqrt(static_cast<float>(hidden)))),
       b_(Tensor(1, num_classes)) {}
 
@@ -39,7 +39,7 @@ Tensor ClassifierHead::forward(const Tensor& hidden_states) const {
 }
 
 LmHead::LmHead(std::size_t hidden, std::size_t vocab_size, Rng& rng)
-    : w_(rng.normal_tensor(hidden, vocab_size,
+    : w_(rng.normal_packed(hidden, vocab_size,
                            1.0F / std::sqrt(static_cast<float>(hidden)))) {}
 
 Tensor LmHead::forward_last(const Tensor& hidden_states) const {

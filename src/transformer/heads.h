@@ -3,6 +3,7 @@
 // the last layer's partitions (paper Algorithm 2, steps 16-17).
 #pragma once
 
+#include "tensor/packed_matrix.h"
 #include "tensor/tensor.h"
 
 namespace voltage {
@@ -31,8 +32,8 @@ class ClassifierHead {
 
  private:
   Pooling pooling_;
-  Tensor w_;  // F x num_classes
-  Tensor b_;  // 1 x num_classes
+  PackedMatrix w_;  // F x num_classes
+  Tensor b_;        // 1 x num_classes
 };
 
 // Language-model head: next-token logits from the last position.
@@ -54,7 +55,7 @@ class LmHead {
   }
 
  private:
-  Tensor w_;  // F x vocab
+  PackedMatrix w_;  // F x vocab
 };
 
 }  // namespace voltage

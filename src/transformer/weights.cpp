@@ -36,13 +36,13 @@ LayerWeights init_layer_weights(const LayerConfig& config, Rng& rng) {
         .wv = rng.normal_tensor(f, fh, attn_std),
     });
   }
-  w.attention.wo = rng.normal_tensor(config.heads * fh, f, attn_std);
+  w.attention.wo = rng.normal_packed(config.heads * fh, f, attn_std);
   w.attention.bo = Tensor(1, f);
   w.ln_attention = {.gamma = Tensor::filled(1, f, 1.0F), .beta = Tensor(1, f)};
   w.ffn = {
-      .w1 = rng.normal_tensor(f, config.ffn_dim, attn_std),
+      .w1 = rng.normal_packed(f, config.ffn_dim, attn_std),
       .b1 = Tensor(1, config.ffn_dim),
-      .w2 = rng.normal_tensor(config.ffn_dim, f, ffn_std),
+      .w2 = rng.normal_packed(config.ffn_dim, f, ffn_std),
       .b2 = Tensor(1, f),
   };
   w.ln_ffn = {.gamma = Tensor::filled(1, f, 1.0F), .beta = Tensor(1, f)};

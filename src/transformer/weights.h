@@ -4,10 +4,17 @@
 // because Voltage's adaptive order selection (Theorem 2) operates per head.
 // Following the paper's Eq. (1), the Q/K/V projections carry no bias; the
 // output projection W_O and the FFN keep theirs.
+//
+// W_O, W1 and W2 — 9F^2 of a layer's 12F^2 weight MACs per position, under
+// either Theorem-2 order — are stored only as pre-packed GEMM panels
+// (PackedMatrix). The per-head projections stay row-major Tensors: Eq. (8)
+// reads W_K transposed, and the F_H-wide head GEMMs gain little from
+// pre-packing.
 #pragma once
 
 #include <vector>
 
+#include "tensor/packed_matrix.h"
 #include "tensor/tensor.h"
 #include "transformer/config.h"
 
@@ -21,15 +28,15 @@ struct HeadWeights {
 
 struct AttentionWeights {
   std::vector<HeadWeights> heads;
-  Tensor wo;  // (H * F_H) x F
+  PackedMatrix wo;  // (H * F_H) x F
   Tensor bo;  // 1 x F
 };
 
 struct FfnWeights {
-  Tensor w1;  // F x ffn_dim
-  Tensor b1;  // 1 x ffn_dim
-  Tensor w2;  // ffn_dim x F
-  Tensor b2;  // 1 x F
+  PackedMatrix w1;  // F x ffn_dim
+  Tensor b1;        // 1 x ffn_dim
+  PackedMatrix w2;  // ffn_dim x F
+  Tensor b2;        // 1 x F
 };
 
 struct LayerNormWeights {

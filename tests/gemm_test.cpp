@@ -1,14 +1,16 @@
 // Bitwise contracts of the blocked GEMM substrate (src/tensor/gemm.h):
-// every kernel variant must equal the naive i-j-k reference exactly (and
-// each elementwise kernel its scalar reference, within stated accuracy of
-// double precision), results
-// must not change with the intra-op thread budget, transposed operands must
-// never be materialized, and the distributed runtime must reproduce
-// single-device inference bit for bit under the naive attention order.
+// every kernel variant must equal the naive i-j-k reference exactly, with B
+// row-major or pre-packed (and each elementwise kernel its scalar
+// reference, within stated accuracy of double precision; the row max the
+// std::max chain), results must not change with the intra-op thread
+// budget, transposed operands must never be materialized, and the
+// distributed runtime must reproduce single-device inference bit for bit
+// under the naive attention order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -21,6 +23,7 @@
 #include "tensor/flops.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "tensor/packed_matrix.h"
 #include "tensor/rng.h"
 #include "transformer/tokenizer.h"
 #include "transformer/zoo.h"
@@ -239,6 +242,163 @@ TEST(GemmKernels, DispatchReportsAKnownArch) {
   EXPECT_TRUE(arch == "avx512" || arch == "avx2" || arch == "base") << arch;
 }
 
+// --- Pre-packed B (PackedMatrix) ------------------------------------------
+
+// Every m, k, n around the variant's register tile and the k block: one row
+// (the panel GEMV), the tile height +-1, a 53-row edge partition; one k
+// row, a k block +-1 and three blocks; one column, a panel +-1 and
+// distilbert's FFN width. The packed GEMM, the per-call-packed GEMM and the
+// reference all accumulate onto the same nonzero C. Rows are independent,
+// so each m runs on the first m rows of one 53-row problem.
+TEST(PackedGemm, MatchesPerCallPackAndReferenceAtRaggedShapes) {
+  constexpr std::size_t kc = detail::kGemmKc;
+  constexpr std::size_t kRows = 53;
+  for (const detail::GemmVariant& variant : detail::gemm_variants()) {
+    SCOPED_TRACE(variant.arch);
+    Rng rng(41);
+    for (const std::size_t k : {std::size_t{1}, kc - 1, kc, kc + 1,
+                                std::size_t{768}}) {
+      for (const std::size_t n : {std::size_t{1}, variant.nr - 1,
+                                  variant.nr + 1, std::size_t{3072}}) {
+        const Tensor a = rng.normal_tensor(kRows, k, 1.0F);
+        const Tensor w = rng.normal_tensor(k, n, 1.0F);
+        const PackedMatrix packed(w, variant.nr);
+        const Tensor c0 = rng.normal_tensor(kRows, n, 1.0F);
+        // The reference reads W through its stored transpose: the same
+        // chains, with a contiguous inner loop.
+        const Tensor wt = w.transposed();
+        Tensor c_ref = c0;
+        variant.reference(a.data(), false, wt.data(), true, c_ref.data(),
+                          kRows, k, n);
+        for (const std::size_t m : {std::size_t{1}, std::size_t{2},
+                                    variant.mr - 1, variant.mr + 1, kRows}) {
+          SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                       std::to_string(n));
+          Tensor c_packed = c0.slice_rows(0, m);
+          variant.packed(a.data(), packed.panels(), c_packed.data(), m, 0, m,
+                         k, n);
+          Tensor c_call = c0.slice_rows(0, m);
+          variant.blocked(a.data(), false, w.data(), false, c_call.data(), m,
+                          0, m, k, n);
+          expect_bitwise(c_packed, c_ref.slice_rows(0, m));
+          expect_bitwise(c_call, c_ref.slice_rows(0, m));
+        }
+      }
+    }
+  }
+}
+
+// The panel GEMV (a one-row range on packed B) equals the row-major GEMV,
+// across k blocks, whole multi-panel passes and ragged last panels.
+TEST(PackedGemm, OneRowPanelGemvEqualsGemvOnEveryVariant) {
+  for (const detail::GemmVariant& variant : detail::gemm_variants()) {
+    SCOPED_TRACE(variant.arch);
+    Rng rng(43);
+    for (const Shape& s : {Shape{1, 1, 1}, Shape{1, 32, 37},
+                           Shape{1, 128, 128}, Shape{1, 128, 1024},
+                           Shape{1, 257, 33}, Shape{1, 300, 200},
+                           Shape{1, 768, 3072}}) {
+      const Tensor a = rng.normal_tensor(1, s.k, 1.0F);
+      const Tensor w = rng.normal_tensor(s.k, s.n, 1.0F);
+      const PackedMatrix packed(w, variant.nr);
+      const Tensor c0 = rng.normal_tensor(1, s.n, 1.0F);
+      Tensor c_gemv = c0;
+      variant.gemv(a.data(), w.data(), s.n, false, c_gemv.data(), s.k, s.n);
+      Tensor c_panels = c0;
+      variant.packed(a.data(), packed.panels(), c_panels.data(), 1, 0, 1, s.k,
+                     s.n);
+      expect_bitwise(c_panels, c_gemv);
+    }
+  }
+}
+
+// Row-range splits (one a single row, so the panel GEMV) reproduce the full
+// packed GEMM, and matmul on a PackedMatrix equals matmul on the row-major
+// weight at every intra-op budget, with the same MAC count.
+TEST(PackedGemm, RowSplitsAndIntraOpBudgetsReproduceTheFullResult) {
+  Rng rng(45);
+  const std::size_t m = 67, k = 300, n = 51;
+  const Tensor a = rng.normal_tensor(m, k, 1.0F);
+  const Tensor w = rng.normal_tensor(k, n, 1.0F);
+  for (const detail::GemmVariant& variant : detail::gemm_variants()) {
+    SCOPED_TRACE(variant.arch);
+    const PackedMatrix packed(w, variant.nr);
+    Tensor full(m, n);
+    variant.packed(a.data(), packed.panels(), full.data(), m, 0, m, k, n);
+    Tensor split(m, n);
+    const std::size_t cuts[] = {0, 5, 6, 40, m};
+    for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+      variant.packed(a.data(), packed.panels(), split.data(), m, cuts[c],
+                     cuts[c + 1], k, n);
+    }
+    expect_bitwise(split, full);
+  }
+  const PackedMatrix packed(w);
+  const Tensor expected = matmul(a, w);
+  for (const std::size_t threads : {1U, 2U, 4U}) {
+    const IntraOpScope scope(threads);
+    const flops::Scope counter;
+    expect_bitwise(matmul(a, packed), expected);
+    EXPECT_EQ(counter.macs(), static_cast<std::uint64_t>(m) * k * n);
+  }
+  EXPECT_THROW((void)matmul(rng.normal_tensor(2, k + 1, 1.0F), packed),
+               std::invalid_argument);
+}
+
+// A packed weight drawn from Rng(s) holds normal_tensor's values from
+// Rng(s), and leaves the generator where normal_tensor does. Packing at any
+// variant's width, unpacking and slicing are exact.
+TEST(PackedMatrix, FilledFromRngUnpacksToNormalTensor) {
+  for (const Shape& s : {Shape{1, 1, 1}, Shape{0, 33, 17}, Shape{0, 257, 70},
+                         Shape{0, 513, 3}}) {
+    Rng packed_rng(s.k);
+    Rng tensor_rng(s.k);
+    const PackedMatrix packed = packed_rng.normal_packed(s.k, s.n, 0.5F);
+    const Tensor expected = tensor_rng.normal_tensor(s.k, s.n, 0.5F);
+    EXPECT_EQ(packed.rows(), s.k);
+    EXPECT_EQ(packed.cols(), s.n);
+    EXPECT_EQ(packed.size(), s.k * s.n);
+    expect_bitwise(packed.unpack(), expected);
+    EXPECT_EQ(packed_rng.next_u64(), tensor_rng.next_u64());
+    for (const detail::GemmVariant& variant : detail::gemm_variants()) {
+      SCOPED_TRACE(variant.arch);
+      const PackedMatrix at_width(expected, variant.nr);
+      EXPECT_EQ(at_width.panel_width(), variant.nr);
+      expect_bitwise(at_width.unpack(), expected);
+      const std::size_t r0 = s.k / 3;
+      const std::size_t c0 = s.n / 2;
+      expect_bitwise(at_width.slice_rows(r0, s.k).unpack(),
+                     expected.slice_rows(r0, s.k));
+      expect_bitwise(at_width.slice_cols(c0, s.n).unpack(),
+                     expected.slice_cols(c0, s.n));
+    }
+  }
+}
+
+// The panels start on a 64-byte line in every matrix, also in copies and
+// slices made after heap traffic has shifted where blocks land, and a copy
+// or copy-assignment holds the same values.
+TEST(PackedMatrix, PanelsStartOnACacheLineInCopiesAndSlices) {
+  const auto on_line = [](const PackedMatrix& m) {
+    return reinterpret_cast<std::uintptr_t>(m.panels()) % 64 == 0;
+  };
+  Rng rng(49);
+  const Tensor w = rng.normal_tensor(70, 37, 1.0F);
+  const PackedMatrix packed(w);
+  std::vector<std::vector<float>> shifts;
+  for (std::size_t bytes = 4; bytes <= 64; bytes += 4) {
+    shifts.emplace_back(bytes / sizeof(float));
+    const PackedMatrix copy(packed);
+    PackedMatrix assigned;
+    assigned = packed;
+    const PackedMatrix slice = packed.slice_cols(3, 30);
+    EXPECT_TRUE(on_line(copy) && on_line(assigned) && on_line(slice));
+    expect_bitwise(copy.unpack(), w);
+    expect_bitwise(assigned.unpack(), w);
+  }
+  EXPECT_TRUE(on_line(packed));
+}
+
 // --- Elementwise kernels (tanh-GELU, exp) ---------------------------------
 
 using Elementwise = void (*)(const float* x, float* y, std::size_t n);
@@ -378,6 +538,75 @@ TEST(ElementwiseKernels, AccurateAgainstDoublePrecisionOnEveryVariant) {
   }
 }
 
+// --- Row max ---------------------------------------------------------------
+
+float max_chain(const std::vector<float>& x) {
+  float m = -std::numeric_limits<float>::infinity();
+  for (const float v : x) m = std::max(m, v);
+  return m;
+}
+
+void expect_same_bits(float a, float b) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(float)), 0) << a << " vs " << b;
+}
+
+// The vector max returns what the sequential std::max chain does, bit for
+// bit: NaNs never win (an all-NaN row gives -inf, as does an empty one),
+// -inf and the -1e30 causal mask compare as values, and of equal zeros the
+// first one's sign. Each special value sits at vector and tail positions of
+// rows that end in full vectors or in a masked tail.
+TEST(RowMaxKernel, MatchesTheStdMaxChainWithSpecialValuesOnEveryVariant) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {nan, 0.0F, -0.0F, -inf, -1e30F, 1.5F};
+  for (const detail::GemmVariant& variant : detail::gemm_variants()) {
+    SCOPED_TRACE(variant.arch);
+    expect_same_bits(variant.max(nullptr, 0), -inf);
+    Rng rng(47);
+    for (const std::size_t n : {1U, 5U, 16U, 17U, 31U, 64U, 67U, 130U}) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      const Tensor base = rng.uniform_tensor(1, n, -3.0F, -1.0F);
+      std::vector<std::size_t> positions;
+      for (const std::size_t at : {0U, 7U, 15U, 16U, 63U, 64U, 129U}) {
+        if (at < n) positions.push_back(at);
+      }
+      positions.push_back(n - 1);
+      const auto check = [&](const std::vector<float>& x) {
+        expect_same_bits(variant.max(x.data(), x.size()), max_chain(x));
+      };
+      std::vector<float> x(base.flat().begin(), base.flat().end());
+      for (const float v : specials) {
+        for (const std::size_t at : positions) {
+          std::vector<float> y = x;
+          y[at] = v;
+          check(y);
+        }
+      }
+      // Both zero signs in either order: the first zero is the max.
+      for (const std::size_t first : positions) {
+        for (const std::size_t second : positions) {
+          if (first == second) continue;
+          std::vector<float> y = x;
+          y[first] = -0.0F;
+          y[second] = 0.0F;
+          check(y);
+          std::swap(y[first], y[second]);
+          check(y);
+        }
+      }
+      // A causally masked tail, then all NaN and all -inf.
+      for (std::size_t masked = 1; masked <= n; masked += 3) {
+        std::vector<float> y = x;
+        std::fill(y.end() - static_cast<std::ptrdiff_t>(masked), y.end(),
+                  -1e30F);
+        check(y);
+      }
+      check(std::vector<float>(n, nan));
+      check(std::vector<float>(n, -inf));
+    }
+  }
+}
+
 // gelu and softmax_rows are row-independent: each row of a [3 x 37] tensor
 // with causal -inf entries equals the same row computed alone, although
 // the rows start at different vector lanes. The entry points dispatch to
@@ -408,6 +637,7 @@ TEST(ElementwiseKernels, RowsEqualTheSameRowsAloneAndEntriesDispatchFirst) {
   detail::exp(in.data(), entry.data(), in.size());
   first.exp(in.data(), direct.data(), in.size());
   expect_bitwise(entry, direct);
+  EXPECT_EQ(detail::max(in.data(), in.size()), first.max(in.data(), in.size()));
 }
 
 TEST(GemmDeterminism, ModelForwardBitwiseIdenticalAcrossIntraOpBudgets) {

@@ -2,6 +2,8 @@
 // layers, embeddings, heads, full models and the toy tokenizer.
 #include <gtest/gtest.h>
 
+#include "partition/decode_attention.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "transformer/attention.h"
@@ -245,6 +247,37 @@ TEST(Heads, EmptySequenceThrows) {
   Rng rng(17);
   const ClassifierHead cls(8, 2, Pooling::kClsToken, rng);
   EXPECT_THROW((void)cls.forward(Tensor(0, 8)), std::invalid_argument);
+}
+
+// W_O, W1, W2 and the LM head are stored pre-packed, so their GEMMs never
+// pack B per call: not at one row (the panel GEMV) and not at three (the
+// blocked loop) — in an FFN, a decode tail's W_O projection or a batched
+// LM head. The counter is live: the same GEMM on a row-major weight packs.
+TEST(PackedWeights, WeightGemmsNeverPackPerCall) {
+  Rng rng(19);
+  const LayerConfig cfg = small_config(true);
+  const LayerWeights w = init_layer_weights(cfg, rng);
+  const LmHead head(cfg.hidden, 50, rng);
+  for (const std::size_t rows : {1U, 3U}) {
+    SCOPED_TRACE(rows);
+    const Tensor x = rng.normal_tensor(rows, cfg.hidden, 1.0F);
+    // Merged partials: every head's (max, denominator, weighted values).
+    Tensor merged = rng.normal_tensor(
+        rows, softmax_partial_cols(cfg.heads, cfg.head_dim), 1.0F);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t h = 0; h < cfg.heads; ++h) {
+        merged(r, h * (cfg.head_dim + 2) + 1) = 2.0F;
+      }
+    }
+    const std::uint64_t before = detail::pack_b_count();
+    EXPECT_EQ(ffn_forward(x, w.ffn, cfg.activation).rows(), rows);
+    EXPECT_EQ(softmax_merge_finalize(merged, w.attention, cfg).rows(), rows);
+    EXPECT_EQ(head.forward_rows(x).rows(), rows);
+    EXPECT_EQ(detail::pack_b_count(), before);
+  }
+  const std::uint64_t before = detail::pack_b_count();
+  (void)matmul(rng.normal_tensor(3, cfg.hidden, 1.0F), w.ffn.w1.unpack());
+  EXPECT_GT(detail::pack_b_count(), before);
 }
 
 // --- models ------------------------------------------------------------------
