@@ -582,7 +582,9 @@ TEST(RowMaxKernel, MatchesTheStdMaxChainWithSpecialValuesOnEveryVariant) {
           check(y);
         }
       }
-      // Both zero signs in either order: the first zero is the max.
+      // Both zero signs in either order: the first zero is the max. And a
+      // NaN before or after the max, also later in the same lane chain,
+      // never displaces it.
       for (const std::size_t first : positions) {
         for (const std::size_t second : positions) {
           if (first == second) continue;
@@ -591,6 +593,9 @@ TEST(RowMaxKernel, MatchesTheStdMaxChainWithSpecialValuesOnEveryVariant) {
           y[second] = 0.0F;
           check(y);
           std::swap(y[first], y[second]);
+          check(y);
+          y[first] = 5.0F;
+          y[second] = nan;
           check(y);
         }
       }
